@@ -2,28 +2,46 @@
 
 Usage::
 
-    python -m repro.cli table2a [--reps 3] [--seed 42]
-    python -m repro.cli table2b
-    python -m repro.cli table2c [--families 400]
-    python -m repro.cli fig5 | fig6 | fig7 | fig8 | fig9
-    python -m repro.cli ablations
-    python -m repro.cli telemetry [--queue-depth 1] [--inject-failure] [--check] [--json]
-    python -m repro.cli chaos [--seed 42] [--seeds N] [--check] \\
-        [--no-fast-lane] [--columnar] [--json]
-    python -m repro.cli store [--topology | --drill] [--no-repair] \\
-        [--check] [--no-fast-lane] [--columnar] [--json]
-    python -m repro.cli diagnose [--seed 42] [--check] [--no-fast-lane] [--json]
-    python -m repro.cli explain [--job ID] [--seed 42] [--check] \\
-        [--no-fast-lane] [--columnar] [--json]
-    python -m repro.cli profile [--seed 42] [--json]
-    python -m repro.cli trace [--trace-id ID | --slowest N | --drops] \\
-        [--head-rate R] [--tail-latency S] [--check] [--json]
-    python -m repro.cli bench [--quick] [--check] [--json] [--out PATH]
-    python -m repro.cli fleet [--scan | --export | --catalog] [--check] [--json]
+    python -m repro.cli <command> [flags]
+    python -m repro.cli <command> --help    # what <command> does + its flags
+
+Every command declares only the flags it reads; a flag another command
+owns is a usage error.  Commands and their flags:
+
+    table2a    [--seed S] [--reps N] [--ranks-per-node N]
+    table2b    [--seed S] [--reps N] [--ranks-per-node N] [--particles N]
+    table2c    [--seed S] [--reps N] [--families N]
+    fig5       [--seed S] [--reps N]
+    fig6       [--seed S]
+    fig7 | fig8 | fig9 | report
+    ablations  [--families N]
+    telemetry  [--seed S] [--ranks-per-node N] [--queue-depth N]
+               [--inject-failure] [--fail-after N] [--json] [--check]
+    chaos      [--seed S] [--seeds N] [--ranks-per-node N] [--fail-after N]
+               [--no-fast-lane] [--columnar] [--json] [--check]
+    store      [--topology | --drill] [--no-repair] [--seed S]
+               [--ranks-per-node N] [--no-fast-lane] [--columnar]
+               [--json] [--check]
+    diagnose   [--seed S] [--ranks-per-node N] [--fail-after N]
+               [--no-fast-lane] [--json] [--check]
+    profile    [--seed S] [--ranks-per-node N] [--no-fast-lane] [--json]
+    trace      [--trace-id ID | --slowest N | --drops] [--head-rate R]
+               [--tail-latency S] [--seed S] [--ranks-per-node N]
+               [--fail-after N] [--no-fast-lane] [--json] [--check]
+    bench      [--quick] [--seed S] [--out PATH] [--json] [--check]
+    fleet      [--scan | --export | --catalog] [--no-fast-lane]
+               [--json] [--check]
+    forensics  [--capture | --show ID | --diff A B] [--seed S]
+               [--fail-after N] [--no-fast-lane] [--columnar]
+               [--json] [--check]
+    explain    [--job ID] [--seed S] [--no-fast-lane] [--columnar]
+               [--json] [--check]
 
 All commands print the reproduced rows/series to stdout; scale flags
 trade fidelity for wall-clock time (see EXPERIMENTS.md for the
-scale-invariance argument).
+scale-invariance argument).  The lane flags pick a row of
+:data:`repro.experiments.chaos.LANES`: ``--no-fast-lane`` the
+per-message reference lane, ``--columnar`` the record-batch lane.
 
 Exit codes are uniform across every ``--check``-capable command:
 0 = OK, 1 = an invariant is broken (ledger violated, fault undetected,
@@ -35,8 +53,75 @@ identifiers).
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
+import sys
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
+
+
+# -- shared helpers ----------------------------------------------------------
+
+
+def _usage_error(args, message: str):
+    """Report a usage error for ``args.command`` and exit 2."""
+    print(f"repro {args.command}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _lane(args) -> str:
+    """The :data:`~repro.experiments.chaos.LANES` row the lane flags pick."""
+    from repro.experiments.chaos import lane_name
+
+    try:
+        return lane_name(not args.no_fast_lane, getattr(args, "columnar", False))
+    except ValueError:
+        _usage_error(args, "--columnar requires the fast lane "
+                           "(drop --no-fast-lane)")
+
+
+def _mode(args, modes: tuple, default: str) -> str:
+    """The one mode flag given (``default`` if none); two is a usage error."""
+    given = [m for m in modes if getattr(args, m)]
+    if len(given) > 1:
+        _usage_error(args, f"--{given[0]} and --{given[1]} are mutually "
+                           f"exclusive")
+    return given[0] if given else default
+
+
+def _fault_rows(world) -> list[dict]:
+    """The injector's applied-fault log, epoch-relative, as JSON rows."""
+    injector = world.fault_injector
+    epoch = world.config.epoch
+    return [
+        {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
+        for f in (injector.applied if injector else ())
+    ]
+
+
+def _print_faults(world) -> None:
+    """The applied-fault log as the ``== applied faults ==`` text block."""
+    print("== applied faults ==")
+    for f in _fault_rows(world):
+        print(f"  t={f['t']:9.3f}s {f['kind']:<16} {f['detail']}")
+
+
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _conclude(ok: bool, lines, ok_line: str | None = None, file=None) -> None:
+    """Map a check's verdict to the exit code: print its lines, exit 1
+    when it failed, else print ``ok_line`` (when given)."""
+    for line in lines:
+        print(line, file=file)
+    if not ok:
+        raise SystemExit(1)
+    if ok_line:
+        print(ok_line, file=file)
+
+
+# -- the paper's tables, figures and ablations --------------------------------
 
 
 def _print_overhead(rows: list[dict]) -> None:
@@ -49,6 +134,7 @@ def _print_overhead(rows: list[dict]) -> None:
 
 
 def _cmd_table2a(args) -> None:
+    """Table IIa: MPI-IO-TEST connector overhead."""
     from repro.experiments import table2a_mpiio
 
     cells = table2a_mpiio(seed=args.seed, reps=args.reps,
@@ -57,6 +143,7 @@ def _cmd_table2a(args) -> None:
 
 
 def _cmd_table2b(args) -> None:
+    """Table IIb: HACC-IO connector overhead."""
     from repro.experiments import table2b_haccio
 
     cells = table2b_haccio(
@@ -67,6 +154,7 @@ def _cmd_table2b(args) -> None:
 
 
 def _cmd_table2c(args) -> None:
+    """Table IIc: HMMER connector overhead."""
     from repro.experiments import table2c_hmmer
 
     cells = table2c_hmmer(seed=args.seed, reps=args.reps, n_families=args.families)
@@ -74,6 +162,7 @@ def _cmd_table2c(args) -> None:
 
 
 def _cmd_fig5(args) -> None:
+    """Figure 5: per-operation counts with confidence intervals."""
     from repro.experiments import fig5_op_counts
 
     out = fig5_op_counts(seed=args.seed, reps=args.reps)
@@ -86,6 +175,7 @@ def _cmd_fig5(args) -> None:
 
 
 def _cmd_fig6(args) -> None:
+    """Figure 6: open/close operations per node."""
     from repro.experiments import fig6_per_node
 
     for job_id, nodes in fig6_per_node(seed=args.seed).items():
@@ -95,6 +185,7 @@ def _cmd_fig6(args) -> None:
 
 
 def _cmd_fig7(args) -> None:
+    """Figure 7: read/write duration variability across jobs."""
     from repro.experiments import fig7_duration_variability
 
     out = fig7_duration_variability()
@@ -106,6 +197,7 @@ def _cmd_fig7(args) -> None:
 
 
 def _cmd_fig8(args) -> None:
+    """Figure 8: one job's I/O timeline."""
     from repro.experiments import fig8_timeline
 
     tl = fig8_timeline()
@@ -117,6 +209,7 @@ def _cmd_fig8(args) -> None:
 
 
 def _cmd_fig9(args) -> None:
+    """Figure 9: the Grafana throughput series."""
     from repro.experiments import fig9_grafana_series
 
     s = fig9_grafana_series(bucket_s=10.0)
@@ -126,6 +219,7 @@ def _cmd_fig9(args) -> None:
 
 
 def _cmd_ablations(args) -> None:
+    """Ablations A1-A4: formatting, sampling, DSOS index, push vs pull."""
     from repro.experiments import (
         ablation_dsos_index,
         ablation_push_pull,
@@ -149,9 +243,28 @@ def _cmd_ablations(args) -> None:
               f"latency={r['mean_latency_s']:.2f}s")
 
 
+def _cmd_report(args) -> None:
+    """Summarize the recorded results under benchmarks/results."""
+    from pathlib import Path
+
+    from repro.experiments.report import generate_report
+
+    results_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+    print(generate_report(results_dir))
+
+
+# -- the pipeline's own observability ------------------------------------------
+
+
 def _cmd_telemetry(args) -> None:
-    """Run a small campaign with pipeline telemetry on and report it:
-    per-stage latency histograms, drop sites, loss reconciliation."""
+    """Pipeline telemetry: per-stage latency histograms, drop sites, loss
+    reconciliation.
+
+    Runs a small campaign with telemetry on.  ``--queue-depth`` shrinks
+    the forward outbox (small = overflow drops); ``--inject-failure``
+    crashes the L1 aggregator after ``--fail-after`` messages.  With
+    ``--check``, exits 1 unless the loss ledger closes exactly.
+    """
     from repro.apps import MpiIoTest
     from repro.core import ConnectorConfig
     from repro.experiments import World, WorldConfig, run_job
@@ -179,48 +292,13 @@ def _cmd_telemetry(args) -> None:
     )
     result = run_job(world, app, "nfs", connector_config=ConnectorConfig())
     if args.json:
-        import json
-
-        print(json.dumps(result.health.to_dict(), indent=2, sort_keys=True))
+        _print_json(result.health.to_dict())
     else:
         print(result.health.render_text())
     if args.check and not result.health.verify():
         print("FAIL: loss reconciliation violated "
               "(published != stored + Σ drops + in_flight_spill)")
         raise SystemExit(1)
-
-
-def _chaos_run(seed: int, fast: bool, columnar: bool, args):
-    """One seeded chaos campaign; returns ``(world, result, duplicates)``."""
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.faults import DaemonCrash, FaultPlan, LinkPartition, SlowStore
-    from repro.ldms.resilience import RetryPolicy
-
-    plan = FaultPlan((
-        DaemonCrash("l1", after_messages=args.fail_after, down_for=0.5),
-        LinkPartition("nid00001", "head", at=0.2, duration=0.3),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, faults=plan, retry=RetryPolicy(), standby_l1=True,
-        columnar=columnar,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    # No inter-job gap: the job starts at t=0, so the timed fault
-    # windows above land inside the I/O burst instead of before it.
-    result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(
-                         spill=True, fast_lane=fast, columnar=columnar),
-                     inter_job_gap_s=0.0)
-    journal = world.store.journal
-    duplicates = journal.duplicates_skipped if journal else 0
-    return world, result, duplicates
 
 
 def _cmd_chaos(args) -> None:
@@ -235,45 +313,34 @@ def _cmd_chaos(args) -> None:
     ``--seeds N`` sweeps seeds ``seed .. seed+N-1`` in one process (the
     CI smoke lane); the combined exit code fails if *any* seed does.
     """
-    import sys
+    from repro.experiments.chaos import LANES, partition_plan, run_campaign
 
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro chaos: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
+    lane = _lane(args)
     if args.seeds < 1:
-        print("repro chaos: --seeds must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
+        _usage_error(args, "--seeds must be >= 1")
 
-    seeds = range(args.seed, args.seed + args.seeds)
     payloads = []
     broken: list[int] = []
-    for seed in seeds:
-        world, result, duplicates = _chaos_run(seed, fast, columnar, args)
-        epoch = world.config.epoch
+    for seed in range(args.seed, args.seed + args.seeds):
+        world, result = run_campaign(
+            seed, lane=lane, faults=partition_plan(args.fail_after),
+            ranks_per_node=args.ranks_per_node)
+        journal = world.store.journal
+        duplicates = journal.duplicates_skipped if journal else 0
         if not result.health.verify():
             broken.append(seed)
         if args.json:
             payloads.append({
                 "seed": seed,
-                "fast_lane": fast,
-                "columnar": columnar,
-                "applied_faults": [
-                    {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                    for f in world.fault_injector.applied
-                ],
+                **LANES[lane],
+                "applied_faults": _fault_rows(world),
                 "duplicates_skipped": duplicates,
                 "health": result.health.to_dict(),
             })
             continue
         if args.seeds > 1:
             print(f"== seed {seed} ==")
-        print("== applied faults ==")
-        for fault in world.fault_injector.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
+        _print_faults(world)
         print(f"duplicates skipped by ingest journal: {duplicates}")
         print()
         print(result.health.render_text())
@@ -281,17 +348,16 @@ def _cmd_chaos(args) -> None:
             print()
 
     if args.json:
-        import json
-
         # One seed keeps the original flat payload; a sweep nests them.
-        out = payloads[0] if args.seeds == 1 else {"runs": payloads}
-        print(json.dumps(out, indent=2, sort_keys=True))
-    if args.check and broken:
-        print("FAIL: unaccounted events under fault injection "
-              f"(seed(s) {', '.join(str(s) for s in broken)})")
-        raise SystemExit(1)
-    if args.check and args.seeds > 1:
-        print(f"OK: ledger exact across {args.seeds} seeds")
+        _print_json(payloads[0] if args.seeds == 1 else {"runs": payloads})
+    if args.check:
+        _conclude(
+            not broken,
+            [f"FAIL: unaccounted events under fault injection "
+             f"(seed(s) {', '.join(str(s) for s in broken)})"] if broken else [],
+            f"OK: ledger exact across {args.seeds} seeds"
+            if args.seeds > 1 else None,
+        )
 
 
 def _cmd_store(args) -> None:
@@ -309,27 +375,11 @@ def _cmd_store(args) -> None:
     census is complete (zero lost, zero under-replicated objects) and
     every replica is back alive.
     """
-    import sys
-
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
+    from repro.experiments.chaos import LANES, run_campaign
     from repro.faults import FaultPlan, StoreCrash
-    from repro.ldms.resilience import RetryPolicy
 
-    modes = [m for m in ("topology", "drill") if getattr(args, m)]
-    if len(modes) > 1:
-        print("repro store: --topology and --drill are mutually exclusive",
-              file=sys.stderr)
-        raise SystemExit(2)
-    mode = modes[0] if modes else "drill"
-
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro store: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
+    mode = _mode(args, ("topology", "drill"), default="drill")
+    lane = _lane(args)
 
     plan = None
     if mode == "drill":
@@ -341,43 +391,25 @@ def _cmd_store(args) -> None:
             StoreCrash(0, at=0.15, down_for=0.8, tear_tail=True),
             StoreCrash(3, at=0.25, down_for=0.25),
         ))
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
-        retry=RetryPolicy(), standby_l1=True,
+    world, result = run_campaign(
+        args.seed, lane=lane, faults=plan, ranks_per_node=args.ranks_per_node,
         dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
         dsos_repair=not args.no_repair,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
     )
-    result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(
-                         spill=True, fast_lane=fast, columnar=columnar),
-                     inter_job_gap_s=0.0)
     cluster = world.dsos.cluster
     census = cluster.census()
-    epoch = world.config.epoch
     store_recoveries = {
         site: n for site, n in sorted(result.health.recovery_sites().items())
         if site[2] in ("wal_replayed", "repair_pulled", "quorum_degraded")
     }
 
     if args.json:
-        import json
-
-        payload = {
+        _print_json({
             "seed": args.seed,
             "mode": mode,
-            "fast_lane": fast,
-            "columnar": columnar,
+            **LANES[lane],
             "repair": not args.no_repair,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in (world.fault_injector.applied
-                          if world.fault_injector else ())
-            ],
+            "applied_faults": _fault_rows(world),
             "layout": cluster.shard_layout(),
             "census": {
                 "objects": census.objects,
@@ -393,8 +425,7 @@ def _cmd_store(args) -> None:
                 for (s, n, o), c in store_recoveries.items()
             ],
             "ledger_exact": result.health.verify(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
         print(f"== store topology ({cluster.shards} shard(s) x "
               f"{cluster.replication} replica(s), "
@@ -407,10 +438,8 @@ def _cmd_store(args) -> None:
             )
             print(f"  shard {row['shard']}: {daemons}")
         if mode == "drill":
-            print("\n== applied faults ==")
-            for fault in world.fault_injector.applied:
-                print(f"  t={fault.t - epoch:9.3f}s "
-                      f"{fault.kind:<16} {fault.detail}")
+            print()
+            _print_faults(world)
             print("\n== recovery ledger (store) ==")
             for (stage, node, outcome), count in store_recoveries.items():
                 print(f"  {stage}/{node}: {outcome} x{count}")
@@ -427,55 +456,22 @@ def _cmd_store(args) -> None:
         print(f"ledger: {'exact' if result.health.verify() else 'VIOLATED'}")
 
     if args.check:
-        failed = False
+        fails = []
         if not result.health.verify():
-            print("FAIL: loss ledger does not close under the store drill")
-            failed = True
+            fails.append("FAIL: loss ledger does not close under the store "
+                         "drill")
         if census.lost:
-            print(f"FAIL: {census.lost} object(s) lost "
-                  f"(no live copy anywhere)")
-            failed = True
+            fails.append(f"FAIL: {census.lost} object(s) lost "
+                         f"(no live copy anywhere)")
         if census.under_replicated:
-            print(f"FAIL: {census.under_replicated} object(s) "
-                  f"under-replicated after recovery"
-                  + (" (repair disabled)" if args.no_repair else ""))
-            failed = True
+            fails.append(f"FAIL: {census.under_replicated} object(s) "
+                         f"under-replicated after recovery"
+                         + (" (repair disabled)" if args.no_repair else ""))
         if census.replicas_down:
-            print(f"FAIL: {census.replicas_down} replica(s) still down")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print(f"OK: census complete — every object holds quorum copies "
-              f"({census.objects} objects, ledger exact)")
-
-
-def _diagnosis_campaign(seed: int, fast: bool, faults, ranks_per_node: int):
-    """One diagnosis-armed campaign run; returns (world, result)."""
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.diagnosis import DiagnosisConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.ldms.resilience import RetryPolicy
-
-    # Cadence tuned to the sub-second fault windows of the chaos plan:
-    # 50 ms ticks, 250 ms windows, 100 ms firing hysteresis.
-    diag = DiagnosisConfig(
-        eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
-        latency_slo_s=0.25, slo_min_count=8,
-    )
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, faults=faults, retry=RetryPolicy(),
-        standby_l1=True, diagnosis=diag,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-                     inter_job_gap_s=0.0)
-    return world, result
+            fails.append(f"FAIL: {census.replicas_down} replica(s) still down")
+        _conclude(not fails, fails,
+                  f"OK: census complete — every object holds quorum copies "
+                  f"({census.objects} objects, ledger exact)")
 
 
 def _cmd_diagnose(args) -> None:
@@ -488,48 +484,38 @@ def _cmd_diagnose(args) -> None:
     ``--check``, exits nonzero if any injected fault class goes
     undetected or the clean run raises any alert.
     """
-    from repro.faults import DaemonCrash, FaultPlan, LinkDegrade, SlowStore
     from repro.diagnosis import score_incidents
+    from repro.diagnosis.forensics import chaos_plan
+    from repro.experiments.chaos import LANES, diagnosis_config, run_campaign
 
-    fast = not args.no_fast_lane
-    plan = FaultPlan((
-        DaemonCrash("l1", after_messages=args.fail_after, down_for=0.5),
-        LinkDegrade("nid00001", "head", at=0.2, duration=0.3, factor=50.0),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    world, result = _diagnosis_campaign(
-        args.seed, fast, plan, args.ranks_per_node)
+    lane = _lane(args)
+
+    def campaign(faults):
+        return run_campaign(args.seed, lane=lane, faults=faults,
+                            ranks_per_node=args.ranks_per_node,
+                            diagnosis=diagnosis_config())
+
+    world, result = campaign(chaos_plan(args.fail_after))
     epoch = world.config.epoch
     score = score_incidents(
         world.diagnosis.incidents, world.fault_injector.applied)
-
-    clean_world, _ = _diagnosis_campaign(
-        args.seed, fast, None, args.ranks_per_node)
+    clean_world, _ = campaign(None)
     clean_alerts = len(clean_world.diagnosis.incidents)
 
     if args.json:
-        import json
-
-        payload = {
+        _print_json({
             "seed": args.seed,
-            "fast_lane": fast,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in world.fault_injector.applied
-            ],
+            "fast_lane": LANES[lane]["fast_lane"],
+            "applied_faults": _fault_rows(world),
             "incidents": [
                 a.to_dict(epoch) for a in world.diagnosis.incidents
             ],
             "score": score.to_dict(epoch),
             "clean_run_alerts": clean_alerts,
             "ledger_exact": result.health.verify(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
-        print("== applied faults ==")
-        for fault in world.fault_injector.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
+        _print_faults(world)
         print()
         print(world.diagnosis.incidents.render_text(epoch))
         print()
@@ -538,20 +524,16 @@ def _cmd_diagnose(args) -> None:
               f"({'OK' if clean_alerts == 0 else 'FALSE POSITIVES'})")
 
     if args.check:
-        failed = False
+        fails = []
         if not score.ok():
-            print("FAIL: undetected fault classes: "
-                  + ", ".join(sorted(score.undetected_classes())))
-            failed = True
+            fails.append("FAIL: undetected fault classes: "
+                         + ", ".join(sorted(score.undetected_classes())))
         if clean_alerts:
-            print(f"FAIL: clean run raised {clean_alerts} alert(s)")
-            failed = True
+            fails.append(f"FAIL: clean run raised {clean_alerts} alert(s)")
         if not result.health.verify():
-            print("FAIL: unaccounted events under fault injection")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print("OK: every fault class detected; clean run silent")
+            fails.append("FAIL: unaccounted events under fault injection")
+        _conclude(not fails, fails,
+                  "OK: every fault class detected; clean run silent")
 
 
 def _cmd_explain(args) -> None:
@@ -570,9 +552,6 @@ def _cmd_explain(args) -> None:
     the report JSON is byte-stable — on both the slow and columnar
     lanes.
     """
-    import json as _json
-    import sys
-
     from repro.diagnosis.explain import (
         check_explain,
         explain_campaign,
@@ -580,21 +559,14 @@ def _cmd_explain(args) -> None:
         score_verdicts,
     )
 
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro explain: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
+    _lane(args)  # exit 2 on --columnar --no-fast-lane
+    fast, columnar = not args.no_fast_lane, args.columnar
 
     if args.check:
         ok, lines = check_explain(args.seed)
-        for line in lines:
-            print(line)
-        if not ok:
-            raise SystemExit(1)
-        print("OK: every fault class classified, clean run healthy, "
-              "reports byte-stable on the slow and columnar lanes")
+        _conclude(ok, lines,
+                  "OK: every fault class classified, clean run healthy, "
+                  "reports byte-stable on the slow and columnar lanes")
         return
 
     campaign = explain_campaign(args.seed, fast=fast, columnar=columnar)
@@ -602,10 +574,9 @@ def _cmd_explain(args) -> None:
     report = campaign.report
     if args.job is not None and args.job != report.job_id:
         if not list(campaign.world.query_job(args.job)):
-            print(f"repro explain: no stored events for job {args.job} "
-                  f"(this campaign's job: {report.job_id})",
-                  file=sys.stderr)
-            raise SystemExit(2)  # unknown identifier = usage error
+            # An unknown identifier is a usage error.
+            _usage_error(args, f"no stored events for job {args.job} "
+                               f"(this campaign's job: {report.job_id})")
         report = explain_job(campaign.world, args.job)
     score = score_verdicts(report.verdicts, campaign.applied)
 
@@ -613,25 +584,18 @@ def _cmd_explain(args) -> None:
                              faults=None)
 
     if args.json:
-        payload = {
+        _print_json({
             "seed": args.seed,
             "fast_lane": fast,
             "columnar": columnar,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in campaign.applied
-            ],
+            "applied_faults": _fault_rows(campaign.world),
             "report": report.to_dict(epoch),
             "score": score.to_dict(),
             "clean_primary": clean.report.primary.cls,
             "clean_healthy": clean.report.healthy,
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
-        print("== applied faults ==")
-        for fault in campaign.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
+        _print_faults(campaign.world)
         print()
         print(report.render_text(epoch))
         print()
@@ -648,26 +612,27 @@ def _cmd_profile(args) -> None:
     message's end-to-end latency across pipeline components (connector,
     bus, forwarders, store), with the residual reported explicitly so
     the components reconcile exactly against the end-to-end totals.
+    Exits 1 when they do not.
     """
     from repro.apps import MpiIoTest
     from repro.core import ConnectorConfig
     from repro.experiments import World, WorldConfig, run_job
+    from repro.experiments.chaos import LANES
     from repro.sim import PipelineProfile
 
+    switches = LANES[_lane(args)]
     world = World(WorldConfig(
         seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=not args.no_fast_lane,
+        **switches,
     ))
     app = MpiIoTest(
         n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=4,
         block_size=2**20, collective=False, sync_per_iteration=False,
     )
-    run_job(world, app, "nfs", connector_config=ConnectorConfig())
+    run_job(world, app, "nfs", connector_config=ConnectorConfig(**switches))
     profile = PipelineProfile.from_collector(world.telemetry)
     if args.json:
-        import json
-
-        print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
+        _print_json(profile.to_dict())
     else:
         print(profile.render_text())
     if not profile.reconciles():
@@ -690,35 +655,18 @@ def _cmd_trace(args) -> None:
     end-to-end latency and the rollup reconciles with the sim-time
     profile.
     """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.faults import DaemonCrash, FaultPlan, LinkPartition, SlowStore
-    from repro.ldms.resilience import RetryPolicy
+    from repro.experiments.chaos import LANES, partition_plan, run_campaign
     from repro.sim import PipelineProfile
     from repro.telemetry.spans import TelemetryConfig, critical_path
     from repro.webservices.tracing import render_waterfall
 
-    fast = not args.no_fast_lane
-    plan = FaultPlan((
-        DaemonCrash("l1", after_messages=args.fail_after, down_for=0.5),
-        LinkPartition("nid00001", "head", at=0.2, duration=0.3),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    policy = TelemetryConfig(
-        head_sample_rate=args.head_rate, tail_latency_s=args.tail_latency,
+    lane = _lane(args)
+    world, _ = run_campaign(
+        args.seed, lane=lane, faults=partition_plan(args.fail_after),
+        ranks_per_node=args.ranks_per_node,
+        telemetry=TelemetryConfig(head_sample_rate=args.head_rate,
+                                  tail_latency_s=args.tail_latency),
     )
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=policy,
-        fast_lane=fast, faults=plan, retry=RetryPolicy(), standby_l1=True,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    run_job(world, app, "nfs",
-            connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-            inter_job_gap_s=0.0)
     registry = world.trace_registry()
     rollup = registry.rollup()
     profile = PipelineProfile.from_registry(registry)
@@ -737,11 +685,9 @@ def _cmd_trace(args) -> None:
         selected = registry.slowest(args.slowest)
 
     if args.json:
-        import json
-
-        payload = {
+        _print_json({
             "seed": args.seed,
-            "fast_lane": fast,
+            "fast_lane": LANES[lane]["fast_lane"],
             "registry": registry.to_dict(),
             "rollup": rollup.to_dict(),
             "rollup_reconciles_with_profile": rollup.reconciles_with(profile),
@@ -752,8 +698,7 @@ def _cmd_trace(args) -> None:
                 }
                 for tree in selected
             ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
         reg = registry.to_dict()
         print(f"retained {reg['retained']} of {reg['offered']} traces "
@@ -774,23 +719,19 @@ def _cmd_trace(args) -> None:
             for tree in registry.trees.values()
             if tree.status == "stored" and not critical_path(tree).exact
         ]
-        failed = False
+        fails = []
         if inexact:
-            print(f"FAIL: critical path != end-to-end latency for "
-                  f"{len(inexact)} trace(s): {', '.join(inexact[:5])}")
-            failed = True
+            fails.append(f"FAIL: critical path != end-to-end latency for "
+                         f"{len(inexact)} trace(s): {', '.join(inexact[:5])}")
         if not rollup.reconciles_with(profile):
-            print("FAIL: critical-path rollup does not reconcile with the "
-                  "sim-time profile")
-            failed = True
+            fails.append("FAIL: critical-path rollup does not reconcile "
+                         "with the sim-time profile")
         if not profile.reconciles():
-            print("FAIL: sim-time profile does not reconcile with its own "
-                  "end-to-end totals")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print(f"OK: {rollup.messages} critical paths exact; "
-              f"rollup reconciles with profile")
+            fails.append("FAIL: sim-time profile does not reconcile with "
+                         "its own end-to-end totals")
+        _conclude(not fails, fails,
+                  f"OK: {rollup.messages} critical paths exact; "
+                  f"rollup reconciles with profile")
 
 
 def _cmd_bench(args) -> None:
@@ -807,8 +748,6 @@ def _cmd_bench(args) -> None:
     committed per-lane peak (skipped where the kernel offers no
     per-lane watermark reset).
     """
-    import json
-    import sys
     from pathlib import Path
 
     from repro.experiments.bench import (
@@ -821,7 +760,7 @@ def _cmd_bench(args) -> None:
     result = pipeline_benchmark(quick=args.quick, seed=args.seed)
     log = sys.stderr if args.json else sys.stdout
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
+        _print_json(result)
         snap = snapshot_path()
         snap.parent.mkdir(parents=True, exist_ok=True)
         snap.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -857,15 +796,14 @@ def _cmd_bench(args) -> None:
     committed_path = Path(args.out) if args.out else DEFAULT_RESULT_PATH
     if args.check:
         committed = json.loads(committed_path.read_text())
-        failed = False
+        fails = []
         for key in ("speedup_events_per_sec", "speedup_columnar_vs_slow"):
             if key not in committed:
                 continue
             floor = committed[key] * 0.75
             if result[key] < floor:
-                print(f"FAIL: {key} {result[key]:.2f}x regressed below 75% "
-                      f"of committed {committed[key]:.2f}x", file=log)
-                failed = True
+                fails.append(f"FAIL: {key} {result[key]:.2f}x regressed "
+                             f"below 75% of committed {committed[key]:.2f}x")
         for lane in LANES:
             mine, theirs = result[lane], committed.get(lane)
             if (
@@ -876,18 +814,23 @@ def _cmd_bench(args) -> None:
                 continue
             ceiling = theirs["peak_rss_kib"] * 1.25
             if mine["peak_rss_kib"] > ceiling:
-                print(f"FAIL: {lane} lane peak RSS {mine['peak_rss_kib']} KiB "
-                      f"regressed >25% over committed "
-                      f"{theirs['peak_rss_kib']} KiB", file=log)
-                failed = True
-        if failed:
-            raise SystemExit(1)
-        print("OK: lane speedups and peak RSS within 25% of committed",
-              file=log)
+                fails.append(f"FAIL: {lane} lane peak RSS "
+                             f"{mine['peak_rss_kib']} KiB regressed >25% "
+                             f"over committed {theirs['peak_rss_kib']} KiB")
+        _conclude(not fails, fails,
+                  "OK: lane speedups and peak RSS within 25% of committed",
+                  file=log)
     elif not args.json:
         committed_path.parent.mkdir(parents=True, exist_ok=True)
         committed_path.write_text(json.dumps(result, indent=2) + "\n")
         print(f"wrote {committed_path}")
+
+
+def _catalog_failures(catalog) -> list[str]:
+    if catalog.complete():
+        return []
+    return ["FAIL: signals missing from the catalog: "
+            + ", ".join(catalog.missing())]
 
 
 def _cmd_fleet(args) -> None:
@@ -905,15 +848,7 @@ def _cmd_fleet(args) -> None:
     and export modes exit 1 if any emitted signal is missing from the
     catalog.  Mode flags are mutually exclusive (usage error, exit 2).
     """
-    import json as _json
-    import sys
-
-    modes = [m for m in ("scan", "export", "catalog") if getattr(args, m)]
-    if len(modes) > 1:
-        print(f"repro fleet: --{modes[0]} and --{modes[1]} are mutually "
-              f"exclusive", file=sys.stderr)
-        raise SystemExit(2)
-    mode = modes[0] if modes else "scan"
+    mode = _mode(args, ("scan", "export", "catalog"), default="scan")
 
     from repro.diagnosis.signals import default_catalog
 
@@ -921,7 +856,7 @@ def _cmd_fleet(args) -> None:
 
     if mode == "catalog":
         if args.json:
-            print(_json.dumps(catalog.to_dict(), indent=2, sort_keys=True))
+            _print_json(catalog.to_dict())
         else:
             from repro.webservices.console import FleetConsole
             from repro.webservices.grafana import render_ascii
@@ -930,18 +865,15 @@ def _cmd_fleet(args) -> None:
             console = FleetConsole((), catalog)
             for panel in console.catalog_panels():
                 print(render_ascii(panel, width=100))
-        if args.check and not catalog.complete():
-            print("FAIL: signals missing from the catalog: "
-                  + ", ".join(catalog.missing()))
-            raise SystemExit(1)
         if args.check:
-            print(f"OK: catalog complete ({len(catalog)} signals)")
+            fails = _catalog_failures(catalog)
+            _conclude(not fails, fails,
+                      f"OK: catalog complete ({len(catalog)} signals)")
         return
 
     from repro.fleet import scan_fleet
 
-    fast = not args.no_fast_lane
-    report = scan_fleet(fast_lane=fast)
+    report = scan_fleet(fast_lane=not args.no_fast_lane)
 
     if mode == "export":
         from repro.telemetry import render_openmetrics
@@ -949,56 +881,44 @@ def _cmd_fleet(args) -> None:
         text = render_openmetrics(report, catalog)
         print(text, end="")
         if args.check:
-            failed = False
+            fails = _catalog_failures(catalog)
             if "(uncatalogued)" in text:
-                print("FAIL: export contains uncatalogued families",
-                      file=sys.stderr)
-                failed = True
-            if not catalog.complete():
-                print("FAIL: signals missing from the catalog: "
-                      + ", ".join(catalog.missing()), file=sys.stderr)
-                failed = True
-            if failed:
-                raise SystemExit(1)
-            print("OK: every exported family catalogued", file=sys.stderr)
+                fails.insert(0, "FAIL: export contains uncatalogued families")
+            _conclude(not fails, fails,
+                      "OK: every exported family catalogued", file=sys.stderr)
         return
 
     # -- scan (default) ------------------------------------------------
     if args.json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _print_json(report.to_dict())
     else:
         from repro.webservices.console import FleetConsole
 
         print(FleetConsole(report, catalog).render_text())
 
     if args.check:
-        failed = False
+        fails = []
         bad = [c.name for c in report if not c.score.reconciles()]
         if bad:
-            print("FAIL: scorecard does not reconcile "
-                  "(Σ deductions != 100 - score) for: " + ", ".join(bad))
-            failed = True
+            fails.append("FAIL: scorecard does not reconcile "
+                         "(Σ deductions != 100 - score) for: " + ", ".join(bad))
         # The chaos cluster's injected faults must register in the
         # matching scorecard components.
         for cluster in report:
             if cluster.spec.faults is None:
                 continue
             if cluster.score.component("probes").deduction == 0:
-                print(f"FAIL: {cluster.name}: injected daemon crash left "
-                      f"the probes component untouched")
-                failed = True
+                fails.append(f"FAIL: {cluster.name}: injected daemon crash "
+                             f"left the probes component untouched")
             if cluster.score.component("store").deduction == 0:
-                print(f"FAIL: {cluster.name}: injected slow store left "
-                      f"the store component untouched")
-                failed = True
+                fails.append(f"FAIL: {cluster.name}: injected slow store "
+                             f"left the store component untouched")
             if cluster.score.ready:
-                print(f"FAIL: {cluster.name}: chaos cluster still "
-                      f"reports ready")
-                failed = True
-        if failed:
-            raise SystemExit(1)
-        print(f"OK: {len(report)} scorecards reconcile exactly; "
-              f"chaos faults deducted via matching components")
+                fails.append(f"FAIL: {cluster.name}: chaos cluster still "
+                             f"reports ready")
+        _conclude(not fails, fails,
+                  f"OK: {len(report)} scorecards reconcile exactly; "
+                  f"chaos faults deducted via matching components")
 
 
 def _cmd_forensics(args) -> None:
@@ -1018,9 +938,6 @@ def _cmd_forensics(args) -> None:
     retained + evicted``, and bundle JSON is byte-stable across
     repeated same-seed runs.
     """
-    import json as _json
-    import sys
-
     from repro.diagnosis.forensics import (
         capture_campaign,
         check_forensics,
@@ -1030,19 +947,9 @@ def _cmd_forensics(args) -> None:
         timeline_panel,
     )
 
-    modes = [m for m in ("capture", "show", "diff") if getattr(args, m)]
-    if len(modes) > 1:
-        print(f"repro forensics: --{modes[0]} and --{modes[1]} are "
-              f"mutually exclusive", file=sys.stderr)
-        raise SystemExit(2)
-    mode = modes[0] if modes else "capture"
-
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro forensics: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
+    mode = _mode(args, ("capture", "show", "diff"), default="capture")
+    _lane(args)  # exit 2 on --columnar --no-fast-lane
+    fast, columnar = not args.no_fast_lane, args.columnar
 
     if mode == "show":
         cap = capture_campaign(args.seed, fast=fast, columnar=columnar,
@@ -1050,11 +957,10 @@ def _cmd_forensics(args) -> None:
         bundle = cap.find(args.show)
         if bundle is None:
             frozen = ", ".join(b.bundle_id for b in cap.bundles) or "(none)"
-            print(f"repro forensics: no bundle {args.show!r} "
-                  f"(frozen this run: {frozen})", file=sys.stderr)
-            raise SystemExit(2)  # unknown identifier = usage error
+            _usage_error(args, f"no bundle {args.show!r} "
+                               f"(frozen this run: {frozen})")
         if args.json:
-            print(_json.dumps(bundle.to_dict(), indent=2, sort_keys=True))
+            _print_json(bundle.to_dict())
         else:
             from repro.webservices.grafana import render_ascii
 
@@ -1084,13 +990,11 @@ def _cmd_forensics(args) -> None:
         if a is None or b is None:
             missing = [i for i, bb in ((a_id, a), (b_id, b)) if bb is None]
             known = [x.bundle_id for x in (*faulted.bundles, *clean.bundles)]
-            print(f"repro forensics: unknown bundle(s) "
-                  f"{', '.join(missing)} (known: {', '.join(known)})",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _usage_error(args, f"unknown bundle(s) {', '.join(missing)} "
+                               f"(known: {', '.join(known)})")
         diff = diff_bundles(a, b)
         if args.json:
-            print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
+            _print_json(diff.to_dict())
         else:
             from repro.webservices.grafana import render_ascii
 
@@ -1107,18 +1011,14 @@ def _cmd_forensics(args) -> None:
     cap = capture_campaign(args.seed, fast=fast, columnar=columnar,
                            fail_after=args.fail_after)
     recorder = cap.recorder
-    epoch = cap.epoch
-    matches = match_bundles(cap.applied, cap.bundles, epoch)
+    matches = match_bundles(cap.applied, cap.bundles, cap.epoch)
 
     if args.json:
-        payload = {
+        _print_json({
             "seed": args.seed,
             "fast_lane": fast,
             "columnar": columnar,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in cap.applied
-            ],
+            "applied_faults": _fault_rows(cap.world),
             "bundles": [b.to_dict() for b in cap.bundles],
             "recorder": recorder.stats(),
             "reconciles": recorder.reconciles(),
@@ -1126,13 +1026,9 @@ def _cmd_forensics(args) -> None:
                 cls: match.to_dict() for cls, match in sorted(matches.items())
             },
             "archive_bytes": len(recorder.log.to_bytes()),
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
-        print("== applied faults ==")
-        for fault in cap.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
+        _print_faults(cap.world)
         print("\n== frozen bundles ==")
         if not cap.bundles:
             print("  (none)")
@@ -1169,49 +1065,113 @@ def _cmd_forensics(args) -> None:
 
     if args.check:
         ok, lines = check_forensics(args.seed)
-        for line in lines:
-            print(line)
-        if not ok:
-            raise SystemExit(1)
-        print("OK: every fault class matched a bundle naming its signal "
-              "on both lanes; rings reconcile; bundles byte-stable")
+        _conclude(ok, lines,
+                  "OK: every fault class matched a bundle naming its signal "
+                  "on both lanes; rings reconcile; bundles byte-stable")
 
 
-def _cmd_report(args) -> None:
-    from pathlib import Path
+# -- the parser ----------------------------------------------------------------
 
-    from repro.experiments.report import generate_report
+#: Every flag, declared once: name -> (option, type, default, help[,
+#: extra add_argument kwargs]).  A ``bool`` flag is an on/off switch.
+_FLAGS = {
+    "seed": ("--seed", int, 42, "campaign RNG seed"),
+    "seeds": ("--seeds", int, 1,
+              "sweep this many consecutive seeds from --seed in one process"),
+    "reps": ("--reps", int, 2, "repetitions per cell"),
+    "ranks_per_node": ("--ranks-per-node", int, 4, "MPI ranks per node"),
+    "families": ("--families", int, 200, "HMMER Pfam families (scaled input)"),
+    "particles": ("--particles", int, 500_000,
+                  "HACC particles per rank (scaled input)"),
+    "queue_depth": ("--queue-depth", int, 65536,
+                    "forward-outbox depth (small = overflow)"),
+    "inject_failure": ("--inject-failure", bool, False,
+                       "crash the L1 aggregator mid-run"),
+    "fail_after": ("--fail-after", int, 50,
+                   "messages seen at L1 before the crash"),
+    "no_fast_lane": ("--no-fast-lane", bool, False,
+                     "the per-message reference lane"),
+    "columnar": ("--columnar", bool, False,
+                 "the columnar record-batch lane (bit-identical results)"),
+    "json": ("--json", bool, False,
+             "machine-readable JSON (sorted keys) instead of the text report"),
+    "check": ("--check", bool, False,
+              "exit 1 unless the invariants described above hold"),
+    "topology": ("--topology", bool, False,
+                 "print the shard/replica layout of a clean run"),
+    "drill": ("--drill", bool, False,
+              "run the crash/recovery drill (the default mode)"),
+    "no_repair": ("--no-repair", bool, False,
+                  "disable anti-entropy repair (negative control)"),
+    "quick": ("--quick", bool, False, "reduced campaign for CI smoke runs"),
+    "out": ("--out", str, None,
+            "result path (default benchmarks/BENCH_pipeline.json)"),
+    "job": ("--job", int, None,
+            "job id to explain (default: the campaign's own job)"),
+    "trace_id": ("--trace-id", str, None, "drill into one retained trace id"),
+    "slowest": ("--slowest", int, 5, "show the N slowest stored traces"),
+    "drops": ("--drops", bool, False, "show retained dropped traces instead"),
+    "head_rate": ("--head-rate", float, 1.0,
+                  "deterministic head-sampling rate (1.0 = keep every trace)"),
+    "tail_latency": ("--tail-latency", float, None,
+                     "always retain stored traces at least this slow (s)"),
+    "scan": ("--scan", bool, False,
+             "scan the demo fleet and render the console (the default mode)"),
+    "export": ("--export", bool, False,
+               "print the scan as an OpenMetrics text exposition"),
+    "catalog": ("--catalog", bool, False, "print the signal catalog page only"),
+    "capture": ("--capture", bool, False,
+                "run the capture campaign and print its bundles (the default)"),
+    "show": ("--show", str, None,
+             "one frozen bundle's cross-layer timeline by id (e.g. fb-0)",
+             {"metavar": "BUNDLE"}),
+    "diff": ("--diff", str, None,
+             "diff two bundles: faulted-run ids or the clean run's 'clean-0'",
+             {"nargs": 2, "metavar": ("A", "B")}),
+}
 
-    results_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-    print(generate_report(results_dir))
+_LANE_FLAGS = ("no_fast_lane", "columnar")
 
-
+#: Command -> (handler, the flags it reads).
 _COMMANDS = {
-    "bench": _cmd_bench,
-    "chaos": _cmd_chaos,
-    "diagnose": _cmd_diagnose,
-    "explain": _cmd_explain,
-    "fleet": _cmd_fleet,
-    "forensics": _cmd_forensics,
-    "profile": _cmd_profile,
-    "report": _cmd_report,
-    "store": _cmd_store,
-    "trace": _cmd_trace,
-    "table2a": _cmd_table2a,
-    "table2b": _cmd_table2b,
-    "table2c": _cmd_table2c,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "ablations": _cmd_ablations,
-    "telemetry": _cmd_telemetry,
+    "table2a": (_cmd_table2a, ("seed", "reps", "ranks_per_node")),
+    "table2b": (_cmd_table2b, ("seed", "reps", "ranks_per_node",
+                               "particles")),
+    "table2c": (_cmd_table2c, ("seed", "reps", "families")),
+    "fig5": (_cmd_fig5, ("seed", "reps")),
+    "fig6": (_cmd_fig6, ("seed",)),
+    "fig7": (_cmd_fig7, ()),
+    "fig8": (_cmd_fig8, ()),
+    "fig9": (_cmd_fig9, ()),
+    "ablations": (_cmd_ablations, ("families",)),
+    "report": (_cmd_report, ()),
+    "telemetry": (_cmd_telemetry, ("seed", "ranks_per_node", "queue_depth",
+                                   "inject_failure", "fail_after", "json",
+                                   "check")),
+    "chaos": (_cmd_chaos, ("seed", "seeds", "ranks_per_node", "fail_after",
+                           *_LANE_FLAGS, "json", "check")),
+    "store": (_cmd_store, ("topology", "drill", "no_repair", "seed",
+                           "ranks_per_node", *_LANE_FLAGS, "json", "check")),
+    "diagnose": (_cmd_diagnose, ("seed", "ranks_per_node", "fail_after",
+                                 "no_fast_lane", "json", "check")),
+    "profile": (_cmd_profile, ("seed", "ranks_per_node", "no_fast_lane",
+                               "json")),
+    "trace": (_cmd_trace, ("trace_id", "slowest", "drops", "head_rate",
+                           "tail_latency", "seed", "ranks_per_node",
+                           "fail_after", "no_fast_lane", "json", "check")),
+    "bench": (_cmd_bench, ("quick", "seed", "out", "json", "check")),
+    "fleet": (_cmd_fleet, ("scan", "export", "catalog", "no_fast_lane",
+                           "json", "check")),
+    "forensics": (_cmd_forensics, ("capture", "show", "diff", "seed",
+                                   "fail_after", *_LANE_FLAGS, "json",
+                                   "check")),
+    "explain": (_cmd_explain, ("job", "seed", *_LANE_FLAGS, "json",
+                               "check")),
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point for ``python -m repro.cli`` / ``repro-experiments``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser: one subcommand per entry of ``_COMMANDS``."""
     from repro import __version__
 
     parser = argparse.ArgumentParser(
@@ -1219,103 +1179,29 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--reps", type=int, default=2)
-    parser.add_argument("--ranks-per-node", type=int, default=4)
-    parser.add_argument("--families", type=int, default=200,
-                        help="HMMER Pfam families (scaled input)")
-    parser.add_argument("--particles", type=int, default=500_000,
-                        help="HACC particles per rank (scaled input)")
-    parser.add_argument("--queue-depth", type=int, default=65536,
-                        help="telemetry: forward-outbox depth (small = overflow)")
-    parser.add_argument("--inject-failure", action="store_true",
-                        help="telemetry: crash the L1 aggregator mid-run")
-    parser.add_argument("--fail-after", type=int, default=50,
-                        help="telemetry/chaos: messages seen at L1 before "
-                             "the crash")
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="chaos: sweep this many consecutive seeds "
-                             "starting at --seed in one process")
-    parser.add_argument("--topology", action="store_true",
-                        help="store: print the shard/replica layout of a "
-                             "clean replicated run")
-    parser.add_argument("--drill", action="store_true",
-                        help="store: run the crash/recovery drill against "
-                             "the replicated store (the default mode)")
-    parser.add_argument("--no-repair", action="store_true",
-                        help="store: disable anti-entropy repair (negative "
-                             "control; --check then fails)")
-    parser.add_argument("--no-fast-lane", action="store_true",
-                        help="chaos/diagnose/explain/profile/store: "
-                             "per-message reference path instead of the "
-                             "batched fast lane")
-    parser.add_argument("--columnar", action="store_true",
-                        help="chaos/explain: arm the columnar record-batch "
-                             "lane (the express spine stands down under "
-                             "faults; results are bit-identical to the fast "
-                             "lane)")
-    parser.add_argument("--json", action="store_true",
-                        help="telemetry/chaos/diagnose/profile: machine-"
-                             "readable JSON instead of the text report")
-    parser.add_argument("--quick", action="store_true",
-                        help="bench: reduced campaign for CI smoke runs")
-    parser.add_argument("--job", type=int, default=None,
-                        help="explain: job id to explain (default: the "
-                             "campaign's own job)")
-    parser.add_argument("--trace-id", default=None,
-                        help="trace: drill into one retained trace id")
-    parser.add_argument("--slowest", type=int, default=5,
-                        help="trace: show the N slowest stored traces")
-    parser.add_argument("--drops", action="store_true",
-                        help="trace: show retained dropped traces instead")
-    parser.add_argument("--scan", action="store_true",
-                        help="fleet: scan the demo fleet and render the "
-                             "console (the default mode)")
-    parser.add_argument("--export", action="store_true",
-                        help="fleet: print the scan as an OpenMetrics text "
-                             "exposition")
-    parser.add_argument("--catalog", action="store_true",
-                        help="fleet: print the signal catalog page only")
-    parser.add_argument("--capture", action="store_true",
-                        help="forensics: run the chaos capture campaign and "
-                             "print the frozen bundles (the default mode)")
-    parser.add_argument("--show", default=None, metavar="BUNDLE",
-                        help="forensics: reconstruct one frozen bundle's "
-                             "cross-layer timeline by id (e.g. fb-0)")
-    parser.add_argument("--diff", nargs=2, default=None, metavar=("A", "B"),
-                        help="forensics: diff two bundles — faulted-run ids "
-                             "plus the clean-run snapshot 'clean-0'")
-    parser.add_argument("--head-rate", type=float, default=1.0,
-                        help="trace: deterministic head-sampling rate "
-                             "(1.0 = keep every trace)")
-    parser.add_argument("--tail-latency", type=float, default=None,
-                        help="trace: always retain stored traces at least "
-                             "this slow (seconds)")
-    parser.add_argument("--check", action="store_true",
-                        help="telemetry/chaos: exit nonzero when loss "
-                             "reconciliation fails; diagnose: exit nonzero "
-                             "when a fault class goes undetected or the "
-                             "clean run false-positives; trace: exit nonzero "
-                             "unless every retained critical path sums "
-                             "exactly to its end-to-end latency; bench: exit "
-                             "nonzero on a >25%% speedup regression vs the "
-                             "committed result; fleet: exit nonzero unless "
-                             "every scorecard reconciles exactly (scan) or "
-                             "the signal catalog is complete "
-                             "(catalog/export); store: exit nonzero on any "
-                             "lost or under-replicated object; forensics: "
-                             "exit nonzero unless every fault class matches "
-                             "a bundle, rings reconcile, and bundles are "
-                             "byte-stable on the slow and columnar lanes; "
-                             "explain: exit nonzero unless every injected "
-                             "fault class is classified correctly and the "
-                             "clean run is verdict-healthy on both lanes")
-    parser.add_argument("--out", default=None,
-                        help="bench: result path (default "
-                             "benchmarks/BENCH_pipeline.json)")
-    args = parser.parse_args(argv)
-    _COMMANDS[args.command](args)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     metavar="command")
+    for name, (handler, flags) in sorted(_COMMANDS.items()):
+        doc = inspect.cleandoc(handler.__doc__)
+        sub = commands.add_parser(
+            name, help=doc.splitlines()[0], description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        for flag in flags:
+            option, kind, default, text, *extra = _FLAGS[flag]
+            if kind is bool:
+                sub.add_argument(option, action="store_true", help=text)
+            else:
+                sub.add_argument(option, type=kind, default=default,
+                                 help=text, **(extra[0] if extra else {}))
+        sub.set_defaults(handler=handler)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point for ``python -m repro.cli`` / ``repro-experiments``."""
+    args = build_parser().parse_args(argv)
+    args.handler(args)
     return 0
 
 

@@ -713,36 +713,20 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
     ``faults=None`` is the clean control run.  The report's verdicts
     ride the flight recorder as the ``verdicts`` evidence stream.
     """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.diagnosis import DiagnosisConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.ldms.resilience import RetryPolicy
-    from repro.telemetry.flightrec import FlightRecorderConfig
+    from repro.experiments.chaos import (
+        diagnosis_config,
+        flightrec_config,
+        lane_name,
+        run_campaign,
+    )
 
-    plan = explain_plan() if faults == "explain" else faults
-    diag = DiagnosisConfig(
-        eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
-        latency_slo_s=0.25, slo_min_count=8, queue_depth_threshold=64,
-    )
-    flight = FlightRecorderConfig(
-        tick_period_s=0.05, pre_window_s=0.5, post_window_s=0.25,
-    )
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
-        retry=RetryPolicy(), standby_l1=True, diagnosis=diag,
-        flightrec=flight, dsos_shards=2, dsos_replication=2,
-        dsos_write_quorum=2,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=4, iterations=24,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-        inter_job_gap_s=0.0,
+    world, result = run_campaign(
+        seed, lane=lane_name(fast, columnar),
+        faults=explain_plan() if faults == "explain" else faults,
+        iterations=24,
+        diagnosis=diagnosis_config(queue_depth_threshold=64),
+        flightrec=flightrec_config(),
+        dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
     )
     world.flight_recorder.flush()
     report = explain_job(world, result.job_id)
@@ -752,31 +736,28 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
 
 # -- the --check body ------------------------------------------------------
 
-#: ``(label, fast_lane, columnar)`` lanes ``--check`` exercises.
-CHECK_LANES = (("slow", False, False), ("columnar", True, True))
 
-
-def check_explain(seed: int = 42, lanes=CHECK_LANES):
+def check_explain(seed: int = 42, lanes=None):
     """The ``repro explain --check`` verdict.
 
-    Per lane: (1) the four-class chaos campaign classifies with
-    per-class precision and recall 1.0 against injected ground truth,
-    (2) the report JSON is byte-stable across same-seed reruns, and
-    (3) the fault-free control run classifies ``healthy``.  Returns
+    Per lane (default :data:`~repro.experiments.chaos.CHECK_LANES`):
+    (1) the four-class chaos campaign classifies with per-class
+    precision and recall 1.0 against injected ground truth, (2) the
+    report JSON is byte-stable across same-seed reruns, and (3) the
+    fault-free control run classifies ``healthy``.  Returns
     ``(ok, lines)``.
     """
-    ok = True
-    lines = []
-    for label, fast, columnar in lanes:
-        first = explain_campaign(seed, fast=fast, columnar=columnar)
-        second = explain_campaign(seed, fast=fast, columnar=columnar)
-        if first.report.to_json() != second.report.to_json():
-            ok = False
-            lines.append(f"FAIL[{label}]: explain report not byte-stable "
-                         f"across same-seed runs")
+    from repro.experiments.chaos import CHECK_LANES, LANES, check_lanes
+
+    def campaign(lane, faults="explain"):
+        switches = LANES[lane]
+        return explain_campaign(seed, fast=switches["fast_lane"],
+                                columnar=switches["columnar"], faults=faults)
+
+    def judge(first, lane):
+        failures = []
         score = first.score
         if not score.ok():
-            ok = False
             detail = []
             if score.missing_classes():
                 detail.append("missing: "
@@ -784,23 +765,19 @@ def check_explain(seed: int = 42, lanes=CHECK_LANES):
             if score.unexpected_classes():
                 detail.append("unexpected: "
                               + ", ".join(score.unexpected_classes()))
-            lines.append(
-                f"FAIL[{label}]: recall={score.recall:.0%} "
-                f"precision={score.precision:.0%}"
+            failures.append(
+                f"recall={score.recall:.0%} precision={score.precision:.0%}"
                 + (" (" + "; ".join(detail) + ")" if detail else "")
             )
-        clean = explain_campaign(seed, fast=fast, columnar=columnar,
-                                 faults=None)
+        clean = campaign(lane, faults=None)
         if not clean.report.healthy or clean.report.classes() != ["healthy"]:
-            ok = False
-            lines.append(
-                f"FAIL[{label}]: clean run classified "
-                + ", ".join(clean.report.classes()) + " (want healthy)"
-            )
-        if not any(ln.startswith(f"FAIL[{label}]") for ln in lines):
-            lines.append(
-                f"OK[{label}]: classes {', '.join(score.emitted)} "
-                f"(recall={score.recall:.0%} "
-                f"precision={score.precision:.0%}); clean run healthy"
-            )
-    return ok, lines
+            failures.append("clean run classified "
+                            + ", ".join(clean.report.classes())
+                            + " (want healthy)")
+        return failures, (
+            f"classes {', '.join(score.emitted)} (recall={score.recall:.0%} "
+            f"precision={score.precision:.0%}); clean run healthy"
+        )
+
+    return check_lanes(campaign, lambda c: c.report.to_json(), judge,
+                       what="explain report", lanes=lanes or CHECK_LANES)

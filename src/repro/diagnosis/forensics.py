@@ -360,35 +360,17 @@ def capture_campaign(seed: int = 42, *, fast: bool = True,
     flushed after the drain, so a trigger near the end of the run still
     freezes its bundle.
     """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.diagnosis import DiagnosisConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.ldms.resilience import RetryPolicy
-    from repro.telemetry.flightrec import FlightRecorderConfig
+    from repro.experiments.chaos import (
+        diagnosis_config,
+        flightrec_config,
+        lane_name,
+        run_campaign,
+    )
 
-    plan = chaos_plan(fail_after) if faults == "chaos" else faults
-    diag = DiagnosisConfig(
-        eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
-        latency_slo_s=0.25, slo_min_count=8,
-    )
-    flight = FlightRecorderConfig(
-        tick_period_s=0.05, pre_window_s=0.5, post_window_s=0.25,
-    )
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
-        retry=RetryPolicy(), standby_l1=True, diagnosis=diag,
-        flightrec=flight,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=4, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-        inter_job_gap_s=0.0,
+    world, result = run_campaign(
+        seed, lane=lane_name(fast, columnar),
+        faults=chaos_plan(fail_after) if faults == "chaos" else faults,
+        diagnosis=diagnosis_config(), flightrec=flightrec_config(),
     )
     world.flight_recorder.flush()
     if snapshot_id is not None:
@@ -399,56 +381,45 @@ def capture_campaign(seed: int = 42, *, fast: bool = True,
 
 # -- the --check body ----------------------------------------------------
 
-#: ``(label, fast_lane, columnar)`` lanes ``--check`` exercises: the
-#: slow reference lane and the columnar lane (whose spine must refuse
-#: to arm under the recorder and fall back bit-identically).
-CHECK_LANES = (("slow", False, False), ("columnar", True, True))
 
-
-def check_forensics(seed: int = 42, lanes=CHECK_LANES):
+def check_forensics(seed: int = 42, lanes=None):
     """The ``repro forensics --capture --check`` verdict.
 
-    Per lane: run the chaos capture twice with the same seed and
-    require (1) bundle JSON byte-stable across the runs, (2) every
-    ring reconciling ``captured == retained + evicted``, and (3) every
-    injected fault class matched by at least one bundle whose evidence
-    names a detecting signal.  Returns ``(ok, lines)``.
+    Per lane (default :data:`~repro.experiments.chaos.CHECK_LANES`):
+    run the chaos capture twice with the same seed and require (1)
+    bundle JSON byte-stable across the runs, (2) every ring reconciling
+    ``captured == retained + evicted``, and (3) every injected fault
+    class matched by at least one bundle whose evidence names a
+    detecting signal.  Returns ``(ok, lines)``.
     """
-    ok = True
-    lines = []
-    for label, fast, columnar in lanes:
-        first = capture_campaign(seed, fast=fast, columnar=columnar)
-        second = capture_campaign(seed, fast=fast, columnar=columnar)
-        frozen = [b.to_canonical_json() for b in first.bundles]
-        refrozen = [b.to_canonical_json() for b in second.bundles]
-        if frozen != refrozen:
-            ok = False
-            lines.append(f"FAIL[{label}]: bundle JSON not byte-stable "
-                         f"across same-seed runs")
-        if not first.bundles:
-            ok = False
-            lines.append(f"FAIL[{label}]: no bundles frozen under the "
-                         f"chaos plan")
+    from repro.experiments.chaos import CHECK_LANES, LANES, check_lanes
+
+    def judge(cap, lane):
+        failures = []
+        if not cap.bundles:
+            failures.append("no bundles frozen under the chaos plan")
         stale = [
-            name for name, good in first.recorder.reconciliation().items()
+            name for name, good in cap.recorder.reconciliation().items()
             if not good
         ]
         if stale:
-            ok = False
-            lines.append(f"FAIL[{label}]: rings do not reconcile: "
-                         + ", ".join(sorted(stale)))
-        matches = match_bundles(first.applied, first.bundles, first.epoch)
+            failures.append("rings do not reconcile: "
+                            + ", ".join(sorted(stale)))
+        matches = match_bundles(cap.applied, cap.bundles, cap.epoch)
         unmatched = sorted(
             cls for cls, match in matches.items() if not match.matched
         )
         if unmatched:
-            ok = False
-            lines.append(f"FAIL[{label}]: fault classes without a "
-                         f"matching bundle: " + ", ".join(unmatched))
-        if not any((ln.startswith(f"FAIL[{label}]")) for ln in lines):
-            classes = ", ".join(sorted(matches))
-            lines.append(
-                f"OK[{label}]: {len(first.bundles)} bundle(s); classes "
-                f"matched with named signals: {classes}; rings reconcile"
-            )
-    return ok, lines
+            failures.append("fault classes without a matching bundle: "
+                            + ", ".join(unmatched))
+        return failures, (
+            f"{len(cap.bundles)} bundle(s); classes matched with named "
+            f"signals: {', '.join(sorted(matches))}; rings reconcile"
+        )
+
+    return check_lanes(
+        lambda lane: capture_campaign(seed, fast=LANES[lane]["fast_lane"],
+                                      columnar=LANES[lane]["columnar"]),
+        lambda cap: [b.to_canonical_json() for b in cap.bundles],
+        judge, what="bundle JSON", lanes=lanes or CHECK_LANES,
+    )

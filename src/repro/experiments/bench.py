@@ -56,6 +56,7 @@ from pathlib import Path
 
 from repro.apps import Hmmer
 from repro.core import ConnectorConfig
+from repro.experiments.chaos import LANES as _LANE_SWITCHES
 
 __all__ = [
     "pipeline_benchmark",
@@ -75,7 +76,7 @@ DEFAULT_RESULT_PATH = (
 RESULTS_DIR = DEFAULT_RESULT_PATH.parent / "results"
 
 #: The benchmark lanes, in run order (slowest first).
-LANES = ("slow", "fast", "columnar")
+LANES = tuple(_LANE_SWITCHES)
 
 
 def snapshot_path(day=None) -> Path:
@@ -182,18 +183,15 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
     from repro.experiments.runner import run_job
     from repro.experiments.world import World, WorldConfig
 
-    fast = lane != "slow"
-    columnar = lane == "columnar"
+    switches = _LANE_SWITCHES[lane]
     rss_resettable = _reset_peak_rss()
     world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=2,
-        fast_lane=fast, columnar=columnar,
+        seed=seed, quiet=True, n_compute_nodes=2, **switches,
     ))
     app = Hmmer(ranks_per_node=8, n_families=n_families)
     t0 = time.perf_counter()
     result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast, columnar=columnar),
+        world, app, "nfs", connector_config=ConnectorConfig(**switches),
     )
     wall_s = time.perf_counter() - t0
     stats = result.connector.stats

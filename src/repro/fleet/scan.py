@@ -28,8 +28,9 @@ __all__ = [
     "scan_fleet",
 ]
 
-#: Scan cadence: diagnosis + probes tick fast enough to see sub-second
-#: fault windows inside the short scan campaign.
+#: Probe cadence: the diagnosis cadence of
+#: :func:`~repro.experiments.chaos.diagnosis_config`, fast enough to see
+#: sub-second fault windows inside the short scan campaign.
 _SCAN_EVAL_PERIOD_S = 0.05
 
 
@@ -57,7 +58,7 @@ class FleetClusterSpec:
     def world_config(self, *, fast_lane: bool = True):
         """The :class:`~repro.experiments.world.WorldConfig` this spec
         scans under (telemetry + diagnosis + probes all armed)."""
-        from repro.diagnosis import DiagnosisConfig
+        from repro.experiments.chaos import diagnosis_config
         from repro.experiments.world import WorldConfig
 
         return WorldConfig(
@@ -73,13 +74,7 @@ class FleetClusterSpec:
             dsos_replication=self.dsos_replication,
             dsos_write_quorum=self.dsos_write_quorum,
             dsos_repair=self.dsos_repair,
-            diagnosis=DiagnosisConfig(
-                eval_period_s=_SCAN_EVAL_PERIOD_S,
-                window_s=0.25,
-                for_duration_s=0.1,
-                latency_slo_s=0.25,
-                slo_min_count=8,
-            ),
+            diagnosis=diagnosis_config(),
             probe=ProbeConfig(period_s=_SCAN_EVAL_PERIOD_S),
             flightrec=True,
         )

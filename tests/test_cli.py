@@ -622,3 +622,105 @@ def test_repro_cli_forensics_check_fails_on_unmatched_class(
         repro_main(["forensics", "--capture", "--check"])
     assert exc.value.code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ------------------------------------------------------- subcommand parser
+
+#: Each command declares only the flags it reads: these argvs pass a
+#: flag some other command owns (or a flag before the command).
+_FOREIGN_FLAG_ARGVS = [
+    ["fig7", "--drill"],
+    ["diagnose", "--topology"],
+    ["diagnose", "--columnar"],
+    ["profile", "--check"],
+    ["fleet", "--seed", "3"],
+    ["--seed", "3", "chaos"],
+]
+
+
+def _documented_argvs():
+    """Every repro argv in this file, the CI workflow and the README."""
+    import ast
+    import re
+    import shlex
+    from pathlib import Path
+
+    from repro.cli import _COMMANDS
+
+    root = Path(__file__).resolve().parents[1]
+    argvs = []
+    tree = ast.parse(Path(__file__).read_text())
+    id_lists = {id(k.value) for k in ast.walk(tree)
+                if isinstance(k, ast.keyword) and k.arg == "ids"}
+    for node in ast.walk(tree):
+        if id(node) in id_lists:
+            continue
+        if isinstance(node, ast.List) and node.elts and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str)
+            for e in node.elts
+        ) and node.elts[0].value in _COMMANDS:
+            argvs.append([e.value for e in node.elts])
+    for doc in (".github/workflows/ci.yml", "README.md"):
+        text = (root / doc).read_text()
+        for line in re.findall(r"python -m repro\.cli ([^#\n]*)", text):
+            argvs.append(shlex.split(line))
+    unique = {tuple(a): a for a in argvs
+              if a and a[0] != "--version" and "--help" not in a
+              and a not in _FOREIGN_FLAG_ARGVS}
+    return sorted(unique.values())
+
+
+@pytest.mark.parametrize("argv", _documented_argvs(), ids=" ".join)
+def test_documented_argv_parses_to_its_command(argv):
+    from repro.cli import _COMMANDS, build_parser
+
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert args.handler is _COMMANDS[argv[0]][0]
+
+
+def test_documented_argvs_cover_every_check_command():
+    commands = {argv[0] for argv in _documented_argvs() if "--check" in argv}
+    assert {"chaos", "store", "diagnose", "trace", "fleet", "forensics",
+            "explain", "bench", "telemetry"} <= commands
+
+
+@pytest.mark.parametrize("argv", _FOREIGN_FLAG_ARGVS, ids=" ".join)
+def test_flag_owned_by_another_command_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        repro_main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_repro_cli_profile_reference_lane_is_reference_end_to_end(
+    monkeypatch, capsys
+):
+    """``profile --no-fast-lane`` builds a slow world *and* a slow
+    connector (the connector once kept its fast-lane default)."""
+    import repro.experiments
+
+    seen = []
+    real = repro.experiments.run_job
+
+    def spy(world, app, fs, connector_config=None, **kw):
+        seen.append((world.config.fast_lane, connector_config.fast_lane))
+        return real(world, app, fs, connector_config=connector_config, **kw)
+
+    monkeypatch.setattr(repro.experiments, "run_job", spy)
+    assert repro_main(["profile", "--no-fast-lane"]) == 0
+    assert seen == [(False, False)]
+    assert "EXACT" in capsys.readouterr().out
+
+
+def test_repro_cli_store_modes_and_lane_flags_are_usage_errors(capsys):
+    for argv, message in (
+        (["store", "--topology", "--drill"],
+         "repro store: --topology and --drill are mutually exclusive"),
+        (["chaos", "--columnar", "--no-fast-lane"],
+         "repro chaos: --columnar requires the fast lane"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
