@@ -21,7 +21,7 @@ log appends, byte-identical to the pre-replication store.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from repro.dsos.index import SortedIndex
 from repro.dsos.journal import StoreWal, WalRecovery
@@ -30,17 +30,27 @@ from repro.dsos.schema import Schema, SchemaError
 __all__ = ["Dsosd", "StoreDownError"]
 
 _OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": eq,
+    "!=": ne,
+    "<": lt,
+    "<=": le,
+    ">": gt,
+    ">=": ge,
 }
 
 
 class StoreDownError(RuntimeError):
     """An operation reached a crashed daemon (or a replica-less shard)."""
+
+
+def _key_getter(attrs: tuple):
+    """``obj -> key`` equal to :meth:`~repro.dsos.schema.Schema.key_for`
+    for an index over ``attrs`` (an ``itemgetter`` over several attrs
+    already yields the tuple; one attr needs the 1-tuple built)."""
+    if len(attrs) == 1:
+        a0 = attrs[0]
+        return lambda obj: (obj[a0],)
+    return itemgetter(*attrs)
 
 
 class _Shard:
@@ -53,38 +63,30 @@ class _Shard:
             name: SortedIndex(name, attrs)
             for name, attrs in schema.indices.items()
         }
+        #: ``(index, key getter)`` per index, built once per shard.
+        self._keyed = [
+            (self.indices[name], _key_getter(attrs))
+            for name, attrs in schema.indices.items()
+        ]
 
     def add(self, obj: dict) -> int:
         oid = len(self.objects)
         self.objects.append(obj)
-        for name, index in self.indices.items():
-            index.add(self.schema.key_for(name, obj), oid)
+        for index, key_of in self._keyed:
+            index.add(key_of(obj), oid)
         return oid
 
     def add_many(self, objs: list) -> None:
         """Append a batch: one index pass per index, not per object.
 
-        Keys are built straight from the schema's key attrs (same tuples
-        :meth:`~repro.dsos.schema.Schema.key_for` would produce — an
-        ``itemgetter`` over several attrs already yields the tuple), so
-        the per-key length check in ``SortedIndex.add`` is redundant
-        here.
+        The key getters guarantee each key's length, so the per-key
+        check in ``SortedIndex.add`` is redundant here.
         """
         base = len(self.objects)
         self.objects.extend(objs)
-        for name, index in self.indices.items():
-            attrs = self.schema.indices[name]
-            if len(attrs) == 1:
-                a0 = attrs[0]
-                entries = [
-                    ((obj[a0],), base + i) for i, obj in enumerate(objs)
-                ]
-            else:
-                getter = itemgetter(*attrs)
-                entries = [
-                    (getter(obj), base + i) for i, obj in enumerate(objs)
-                ]
-            index.extend_unchecked(entries)
+        oids = range(base, base + len(objs))
+        for index, key_of in self._keyed:
+            index.extend_unchecked(list(zip(map(key_of, objs), oids)))
 
 
 class Dsosd:
@@ -287,29 +289,33 @@ class Dsosd:
                 f"schema {schema_name!r} has no index {index_name!r}"
             )
         index = shard.indices[index_name]
-        if prefix is not None:
-            if begin is not None or end is not None:
-                raise ValueError("prefix is exclusive with begin/end")
-            oids = index.prefix_range(prefix)
-        else:
-            oids = index.range(begin, end)
-        scanned = len(oids)
+        if prefix is not None and (begin is not None or end is not None):
+            raise ValueError("prefix is exclusive with begin/end")
+        checks = self._compile_filters(shard.schema, filters or ())
+        keys, oids = index.scan(begin, end, prefix=prefix)
+        objs = list(map(shard.objects.__getitem__, oids))
+        if not checks:
+            return list(zip(keys, objs)), len(oids)
         out = []
-        for oid in oids:
-            obj = shard.objects[oid]
-            if filters and not self._matches(obj, filters):
-                continue
-            out.append((shard.schema.key_for(index_name, obj), obj))
-        return out, scanned
+        for key, obj in zip(keys, objs):
+            for attr, fn, value in checks:
+                if not fn(obj[attr], value):
+                    break
+            else:
+                out.append((key, obj))
+        return out, len(oids)
 
     @staticmethod
-    def _matches(obj: dict, filters: list[tuple]) -> bool:
+    def _compile_filters(schema: Schema, filters) -> list[tuple]:
+        """``(attr, op function, value)`` per filter, validated against
+        the schema before any row is scanned, so a bad filter fails the
+        same way on an empty shard as on a populated one."""
+        checks = []
         for attr, op, value in filters:
             fn = _OPS.get(op)
             if fn is None:
                 raise ValueError(f"unknown filter op {op!r} (use {sorted(_OPS)})")
-            if attr not in obj:
+            if attr not in schema.attrs:
                 raise SchemaError(f"filter references unknown attribute {attr!r}")
-            if not fn(obj[attr], value):
-                return False
-        return True
+            checks.append((attr, fn, value))
+        return checks

@@ -54,6 +54,34 @@ class SortedIndex:
 
     # -- range scans ----------------------------------------------------------
 
+    def scan(
+        self,
+        begin: tuple | None = None,
+        end: tuple | None = None,
+        *,
+        prefix: tuple | None = None,
+    ) -> tuple[list, list]:
+        """Parallel ``(keys, oids)`` slices, in key order: the keys
+        starting with ``prefix`` if given, else ``begin <= key < end``.
+
+        The keys are the index's own tuples, so a caller that needs each
+        row's sort key reads it here instead of rebuilding it from the
+        object.
+        """
+        if prefix is not None:
+            prefix = tuple(prefix)
+            if len(prefix) > len(self.key_attrs):
+                raise ValueError(f"prefix longer than index key: {prefix!r}")
+        self._materialize()
+        keys = self._keys
+        if prefix is not None:
+            lo = bisect.bisect_left(keys, prefix)
+            hi = bisect.bisect_right(keys, prefix + (_Infinity(),))
+        else:
+            lo = 0 if begin is None else bisect.bisect_left(keys, tuple(begin))
+            hi = len(keys) if end is None else bisect.bisect_left(keys, tuple(end))
+        return keys[lo:hi], self._oids[lo:hi]
+
     def range(self, begin: tuple | None = None, end: tuple | None = None):
         """Object ids with ``begin <= key < end``, in key order.
 
@@ -62,20 +90,11 @@ class SortedIndex:
         includes all completions, an end prefix excludes them (use
         :meth:`prefix_range` for inclusive prefix matching).
         """
-        self._materialize()
-        lo = 0 if begin is None else bisect.bisect_left(self._keys, tuple(begin))
-        hi = len(self._keys) if end is None else bisect.bisect_left(self._keys, tuple(end))
-        return self._oids[lo:hi]
+        return self.scan(begin, end)[1]
 
     def prefix_range(self, prefix: tuple):
         """Object ids whose key starts with ``prefix``, in key order."""
-        prefix = tuple(prefix)
-        if len(prefix) > len(self.key_attrs):
-            raise ValueError(f"prefix longer than index key: {prefix!r}")
-        self._materialize()
-        lo = bisect.bisect_left(self._keys, prefix)
-        hi = bisect.bisect_right(self._keys, prefix + (_Infinity(),))
-        return self._oids[lo:hi]
+        return self.scan(prefix=prefix)[1]
 
     def iter_sorted(self):
         """(key, oid) pairs in key order."""

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
 __all__ = ["Query", "QueryResult", "QueryStats"]
 
@@ -130,7 +132,7 @@ class Query:
 
     def execute(self) -> QueryResult:
         """Fan out (per daemon, or per shard when replicated), merge
-        shard streams in key order."""
+        shard streams in key order on the keys the indices hold."""
         stats = QueryStats(filters_applied=len(self._filters))
         shard_results = []
         if not getattr(self.cluster, "sharded", False):
@@ -156,11 +158,15 @@ class Query:
                         f"({', '.join(r.name for r in replicas)} all down)"
                     )
                 shard_results.append(self._scan_shard(primary, stats))
-        merged = heapq.merge(*shard_results, key=lambda kv: kv[0])
-        rows = []
-        for _, obj in merged:
-            rows.append(obj)
-            if self._limit is not None and len(rows) >= self._limit:
-                break
+        if len(shard_results) == 1:
+            # One stream is already in key order: nothing to merge.
+            pairs = shard_results[0][: self._limit]
+        else:
+            # heapq.merge breaks key ties by stream order, so equal keys
+            # still come from the earlier shard first.
+            pairs = islice(
+                heapq.merge(*shard_results, key=itemgetter(0)), self._limit
+            )
+        rows = list(map(itemgetter(1), pairs))
         stats.rows_returned = len(rows)
         return QueryResult(rows=rows, stats=stats)

@@ -8,6 +8,8 @@ columnar NumPy storage so the figure analyses stay vectorized.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 __all__ = ["DataFrame", "DataFrameError"]
@@ -15,6 +17,34 @@ __all__ = ["DataFrame", "DataFrameError"]
 
 class DataFrameError(ValueError):
     """Invalid DataFrame construction or operation."""
+
+
+#: Cell types whose column dtype the type set alone decides.
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def _column(values: list) -> np.ndarray:
+    """One record column as an array: int or float when every cell is a
+    (non-bool) number, else object.
+
+    Plain ``int``/``float`` cells (every DSOS numeric attribute) are
+    classified from the column's type set; any other type (bool, numpy
+    scalars, str, None) falls through to the per-cell ``isinstance``
+    rule.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _PLAIN_NUMBERS:
+        is_float = float in kinds
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        is_float = any(isinstance(v, float) for v in values)
+    else:
+        return np.asarray(values, dtype=object)
+    try:
+        return np.asarray(values, dtype=float if is_float else int)
+    except OverflowError:
+        # Values beyond int64 (e.g. unsigned hashes) stay
+        # as Python objects rather than losing precision.
+        return np.asarray(values, dtype=object)
 
 
 _AGG_FUNCS = {
@@ -56,22 +86,12 @@ class DataFrame:
         """Build from a list of homogeneous dicts (DSOS query rows)."""
         if not records:
             raise DataFrameError("cannot build a DataFrame from zero records")
-        names = list(records[0].keys())
-        columns = {}
-        for name in names:
-            values = [r[name] for r in records]
-            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-                try:
-                    columns[name] = np.asarray(values, dtype=float if any(
-                        isinstance(v, float) for v in values
-                    ) else int)
-                except OverflowError:
-                    # Values beyond int64 (e.g. unsigned hashes) stay
-                    # as Python objects rather than losing precision.
-                    columns[name] = np.asarray(values, dtype=object)
-            else:
-                columns[name] = np.asarray(values, dtype=object)
-        return cls(columns)
+        # One column at a time: transposing every column at once holds
+        # all the cell lists alive together.
+        return cls({
+            name: _column(list(map(itemgetter(name), records)))
+            for name in records[0]
+        })
 
     # -- introspection --------------------------------------------------------
 

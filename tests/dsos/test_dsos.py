@@ -243,6 +243,35 @@ def test_query_bad_filter_op(cluster):
         cluster.query("events", "time").where("op", "~=", "x").execute()
 
 
+_BAD_FILTERS = [
+    (("job_id", "~=", 1), ValueError, "unknown filter op"),
+    (("ghost", "==", 1), SchemaError, "unknown attribute 'ghost'"),
+]
+
+
+@pytest.mark.parametrize("bad, error, match", _BAD_FILTERS)
+@pytest.mark.parametrize("topology", [{"n_daemons": 3}, {"shards": 2, "replication": 2}])
+@pytest.mark.parametrize("rows", [0, 1, 6])
+def test_bad_filter_fails_the_same_on_empty_and_populated_stores(
+    schema, topology, rows, bad, error, match
+):
+    c = DsosCluster("f", **topology)
+    c.attach_schema(schema)
+    for i in range(rows):
+        c.insert(schema.name, _event(1, i % 2, float(i)))
+    with pytest.raises(error, match=match):
+        c.query("events", "time").where(*bad).execute()
+
+
+@pytest.mark.parametrize("bad, error, match", _BAD_FILTERS)
+def test_bad_filter_fails_on_an_empty_range(cluster, bad, error, match):
+    for i in range(6):
+        cluster.insert("events", _event(1, 0, float(i)))
+    q = cluster.query("events", "time").range((100.0,), (200.0,))
+    with pytest.raises(error, match=match):
+        q.where("rank", "==", 0).where(*bad).execute()
+
+
 def test_cluster_validation(schema):
     with pytest.raises(ValueError):
         DsosCluster("x", n_daemons=0)
