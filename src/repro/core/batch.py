@@ -142,6 +142,16 @@ class ColumnarMessage:
         self._parsed = None
 
     @property
+    def shape(self):
+        """The compiled :class:`~repro.core.json_format._Shape`."""
+        return self._shape
+
+    @property
+    def values(self) -> tuple:
+        """The shape's varying slot values for this row."""
+        return self._values
+
+    @property
     def payload(self) -> str:
         payload = self._payload
         if payload is None:
@@ -527,7 +537,7 @@ class ColumnarSpine:
                 fwd.stats.max_queue_depth = depth
             if collector is not None:
                 collector.open_hop(trace_id, _trace.STAGE_FORWARD, node)
-                collector.gauge(f"outbox_depth/{node}/{self.tag}", depth)
+                collector.gauge(fwd.depth_gauge, depth)
         else:
             fwd.stats.dropped_overflow += 1
             if collector is not None:
@@ -550,19 +560,18 @@ class ColumnarSpine:
         order and ``t_in``/``t_out`` instants the generic walk emits."""
         node = vfwd.node
         l1node = l1.node
-        tag = self.tag
         collector.begin(trace_id, job_id, rank, node, t_begin=t_pub)
         collector.hop(
             trace_id, _trace.STAGE_PUBLISH, node, _trace.PUBLISHED,
             t_in=t_pub,
         )
-        collector.gauge(f"outbox_depth/{node}/{tag}", 1)
+        collector.gauge(vfwd.fwd.depth_gauge, 1)
         collector.hop(trace_id, _trace.STAGE_BUS, node, _trace.DELIVERED)
         collector.hop(
             trace_id, _trace.STAGE_FORWARD, node, _trace.FORWARDED,
             t_in=now, t_out=t0,
         )
-        collector.gauge(f"outbox_depth/{l1node}/{tag}", 1)
+        collector.gauge(l1.fwd.depth_gauge, 1)
         collector.hop(
             trace_id, _trace.STAGE_BUS, l1node, _trace.DELIVERED,
             t_in=t0, t_out=t0,
@@ -636,7 +645,7 @@ class ColumnarSpine:
         bus_stats = fwd.owner.streams.stats
         node = l1.node
         collector = collector_for(self.env)
-        gauge_name = f"outbox_depth/{node}/{self.tag}"
+        gauge_name = fwd.depth_gauge
         for i in range(len(batch)):
             tid = batch.trace_ids[i]
             nbytes = batch.nbytes[i]

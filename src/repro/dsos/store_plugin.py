@@ -6,17 +6,19 @@ message (one database object per ``seg`` entry, like the CSV store) and
 inserts it into the ``darshan_data`` schema.
 
 Fast lane: the attribute → source mapping is precompiled into a row
-plan (no per-attribute name tests on the hot path), and inside a bus
-batch window (a forwarder handing over its transfer batch) rows are
-buffered and landed with one ``insert_many`` per batch instead of one
-``insert`` per row.  Both produce byte-identical objects in the
-identical round-robin placement.
+plan (no per-attribute name tests on the hot path), a columnar message
+builds its row from a compiled per-shape spec with no message dict, and
+inside a bus batch window (a forwarder handing over its transfer batch)
+rows are buffered and landed with one ``insert_many`` per batch instead
+of one ``insert`` per row.  All of these produce byte-identical objects
+in the identical round-robin placement.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.core.batch import ColumnarMessage
 from repro.dsos.client import DsosClient
 from repro.dsos.journal import IngestJournal
 from repro.dsos.schema import DARSHAN_DATA_SCHEMA
@@ -132,28 +134,29 @@ class DsosStreamStore:
         return plan
 
     def on_message(self, message) -> None:
-        # Fast lane: a publisher that template-built the payload ships
-        # the equal-by-construction dict alongside it — skip the parse.
-        data = message.parsed if self._fast else None
-        if data is None:
-            try:
-                data = json.loads(message.payload)
-            except json.JSONDecodeError:
-                self.parse_errors += 1
-                self._ingest_hop(message, DROP_PARSE_ERROR)
-                return
-            if not isinstance(data, dict):
-                self.parse_errors += 1
-                self._ingest_hop(message, DROP_PARSE_ERROR)
-                return
+        data = None
+        if not (self._fast and type(message) is ColumnarMessage):
+            # Fast lane: a publisher that template-built the payload
+            # ships the equal-by-construction dict alongside it — skip
+            # the parse.  (A columnar message needs no dict at all; its
+            # rows build straight from its shape in :meth:`_rows`.)
+            data = message.parsed if self._fast else None
+            if data is None:
+                try:
+                    data = json.loads(message.payload)
+                except json.JSONDecodeError:
+                    self.parse_errors += 1
+                    self._ingest_hop(message, DROP_PARSE_ERROR)
+                    return
+                if not isinstance(data, dict):
+                    self.parse_errors += 1
+                    self._ingest_hop(message, DROP_PARSE_ERROR)
+                    return
         if self.journal is not None and not self.journal.admit(message.trace_id):
             self._ingest_hop(message, DUP_IGNORED)
             return
         if self._slow:
-            rows = (
-                self._flatten_fast(data) if self._fast else list(self._flatten(data))
-            )
-            self._slow_pending.append((message, rows))
+            self._slow_pending.append((message, self._rows(message, data)))
             if message.trace_id:
                 collector = collector_for(self.daemon.env)
                 if collector is not None:
@@ -162,10 +165,9 @@ class DsosStreamStore:
                     )
             return
         if self._sharded:
-            rows = (
-                self._flatten_fast(data) if self._fast else list(self._flatten(data))
+            outcome, degraded, n_rows = self._store_replicated(
+                message, self._rows(message, data)
             )
-            outcome, degraded, n_rows = self._store_replicated(message, rows)
             self._ingest_hop(message, outcome)
             if degraded:
                 self._ingest_hop(message, QUORUM_DEGRADED)
@@ -174,7 +176,7 @@ class DsosStreamStore:
                     cb(message, n_rows)
             return
         if self._fast:
-            rows = self._flatten_fast(data)
+            rows = self._rows(message, data)
             if self._bus.in_batch:
                 # Buffered for one insert_many when the window closes.
                 # The hop and the counter stamp now — no simulated time
@@ -199,6 +201,19 @@ class DsosStreamStore:
         if self._observers:
             for cb in self._observers:
                 cb(message, n_rows)
+
+    def _rows(self, message, data) -> list[dict]:
+        """One admitted message's database rows.
+
+        ``data is None`` only for a fast-lane :class:`ColumnarMessage`:
+        its rows come from the compiled per-shape spec
+        (:meth:`columnar_rows`), equal to flattening its parsed dict.
+        """
+        if data is None:
+            return self.columnar_rows(message.shape, message.values)
+        if self._fast:
+            return self._flatten_fast(data)
+        return list(self._flatten(data))
 
     def _flush_batch(self) -> None:
         rows = self._pending_rows

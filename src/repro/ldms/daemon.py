@@ -35,26 +35,26 @@ __all__ = ["Ldmsd", "ForwardStats"]
 class _BusTelemetry:
     """Bridge from one daemon's bus to the env's trace collector.
 
-    Installed unconditionally; every hook is a single weak-dict miss
-    when no collector is installed, so the untraced hot path is
-    untouched.
+    Installed unconditionally; with no collector installed every hook
+    is one failed attribute lookup on the environment
+    (:func:`~repro.telemetry.collector.collector_for`), so the untraced
+    hot path is untouched.
     """
 
-    __slots__ = ("daemon",)
+    __slots__ = ("env", "node")
 
     def __init__(self, daemon: "Ldmsd"):
-        self.daemon = daemon
+        self.env = daemon.env
+        self.node = daemon.node.name
 
     def on_publish(self, message: StreamMessage, delivered: int) -> None:
         if not message.trace_id:
             return
-        collector = collector_for(self.daemon.env)
+        collector = collector_for(self.env)
         if collector is None:
             return
         outcome = _trace.DELIVERED if delivered else _trace.DROP_NO_SUBSCRIBER
-        collector.hop(
-            message.trace_id, _trace.STAGE_BUS, self.daemon.node.name, outcome
-        )
+        collector.hop(message.trace_id, _trace.STAGE_BUS, self.node, outcome)
 
 
 @dataclass
@@ -161,6 +161,9 @@ class _Forwarder:
         self._retry_key = crc32(f"{owner.node.name}/{tag}".encode())
         self.outbox = Store(env, capacity=queue_depth)
         self.stats = ForwardStats()
+        #: Telemetry gauge for this outbox's depth, named once here
+        #: rather than formatted per enqueue.
+        self.depth_gauge = f"outbox_depth/{owner.node.name}/{tag}"
         if batch_deliver:
             self.process = None
             self._draining = False
@@ -186,7 +189,7 @@ class _Forwarder:
                 if message.trace_id:
                     # The forward hop spans outbox wait + batched transfer.
                     collector.open_hop(message.trace_id, _trace.STAGE_FORWARD, node)
-                collector.gauge(f"outbox_depth/{node}/{self.tag}", depth)
+                collector.gauge(self.depth_gauge, depth)
             if self.batch_deliver and not self._draining:
                 self._draining = True
                 kick = Event(self.env)

@@ -93,23 +93,23 @@ class TraceCollector:
         the reference path would have.
         """
         trace = MessageTrace(
-            trace_id=trace_id, job_id=job_id, rank=rank,
-            t_begin=self.env.now if t_begin is None else t_begin,
+            trace_id, job_id, rank, self.env.now if t_begin is None else t_begin
         )
         self.traces[trace_id] = trace
         return trace
 
     def _trace(self, trace_id: str, t_begin: float) -> MessageTrace:
-        trace = self.traces.get(trace_id)
-        if trace is None:
-            # A hop for a message begun before this collector existed
-            # (or stamped outside the connector): recover (job, rank)
-            # from the id itself so reconciliation still groups it.
-            parsed = parse_trace_id(trace_id) or (-1, -1, -1)
-            trace = MessageTrace(
-                trace_id=trace_id, job_id=parsed[0], rank=parsed[1], t_begin=t_begin
-            )
-            self.traces[trace_id] = trace
+        """Register a trace first seen at a hop (a ``traces`` miss).
+
+        A hop for a message begun before this collector existed (or
+        stamped outside the connector): recover (job, rank) from the id
+        itself so reconciliation still groups it.
+        """
+        parsed = parse_trace_id(trace_id) or (-1, -1, -1)
+        trace = MessageTrace(
+            trace_id=trace_id, job_id=parsed[0], rank=parsed[1], t_begin=t_begin
+        )
+        self.traces[trace_id] = trace
         return trace
 
     # -- hops ----------------------------------------------------------
@@ -123,20 +123,29 @@ class TraceCollector:
         t_in: float | None = None,
         t_out: float | None = None,
     ) -> HopRecord:
-        """Append one hop; instantaneous unless ``t_in``/``t_out`` given."""
-        now = self.env.now
+        """Append one hop; instantaneous unless ``t_in``/``t_out`` given.
+
+        Runs 7× per message on the observed path, so the trace and
+        histogram lookups are inlined: one ``dict.get`` each, with the
+        creating path taken only on a miss.
+        """
         if t_out is None:
-            t_out = now
+            t_out = self.env.now
         if t_in is None:
             t_in = t_out
-        trace = self._trace(trace_id, t_in)
-        record = HopRecord(stage=stage, node=node, t_in=t_in, t_out=t_out, outcome=outcome)
+        trace = self.traces.get(trace_id)
+        if trace is None:
+            trace = self._trace(trace_id, t_in)
+        record = HopRecord(stage, node, t_in, t_out, outcome)
         trace.hops.append(record)
         if self._recovery_observers and outcome in RECOVERY_OUTCOMES:
             for callback in self._recovery_observers:
                 callback(trace_id, stage, node, outcome, t_out)
         if t_out > t_in:
-            self._histogram(stage).observe(t_out - t_in)
+            hist = self.histograms.get(stage)
+            if hist is None:
+                hist = self._histogram(stage)
+            hist.observe(t_out - t_in)
         if outcome == STORED and t_out > trace.t_begin:
             e2e = t_out - trace.t_begin
             self._histogram(END_TO_END).observe(e2e)
@@ -155,7 +164,7 @@ class TraceCollector:
 
     def close_hop(self, trace_id: str, stage: str, node: str, outcome: str) -> HopRecord:
         """Complete a hop opened with :meth:`open_hop`."""
-        t_in = self._open.pop((trace_id, stage, node), self.env.now)
+        t_in = self._open.pop((trace_id, stage, node), None)
         return self.hop(trace_id, stage, node, outcome, t_in=t_in)
 
     # -- count-weighted batch hops --------------------------------------

@@ -14,13 +14,18 @@ from dataclasses import dataclass
 
 __all__ = ["GaugeStats", "LogHistogram"]
 
+_INF = math.inf
+_log10 = math.log10
+_NAN_MESSAGE = "cannot bin NaN: histogram values must be numbers"
+
 
 class LogHistogram:
     """Fixed-bin log10 histogram with streaming summary statistics.
 
     Bins are ``bins_per_decade`` equal log-width slices of each decade
-    in ``[lo, hi)``; values outside the range clamp to the first/last
-    bin so every observation is counted.
+    in ``[lo, hi)``; values outside the range (infinities included)
+    clamp to the first/last bin so every observation is counted.  NaN
+    has no bin and is rejected with a :class:`ValueError`.
     """
 
     def __init__(
@@ -56,11 +61,27 @@ class LogHistogram:
     def _bin_of(self, value: float) -> int:
         if value <= self.lo:
             return 0
-        idx = int((math.log10(value) - self._log_lo) * self.bins_per_decade)
-        return min(idx, self.n_bins - 1)
+        if value < _INF:
+            idx = int((_log10(value) - self._log_lo) * self.bins_per_decade)
+            return idx if idx < self.n_bins else self.n_bins - 1
+        if value == _INF:
+            return self.n_bins - 1
+        raise ValueError(_NAN_MESSAGE)
 
     def observe(self, value: float) -> None:
-        self.counts[self._bin_of(value)] += 1
+        # _bin_of, inlined (one call per hop on the observed path).
+        # NaN raises before any state changes.
+        if value <= self.lo:
+            idx = 0
+        elif value < _INF:
+            idx = int((_log10(value) - self._log_lo) * self.bins_per_decade)
+            if idx >= self.n_bins:
+                idx = self.n_bins - 1
+        elif value == _INF:
+            idx = self.n_bins - 1
+        else:
+            raise ValueError(_NAN_MESSAGE)
+        self.counts[idx] += 1
         self.count += 1
         self.total += value
         if value < self.min:

@@ -89,6 +89,49 @@ def test_out_of_range_values_clamp_to_edge_bins():
     assert h2.counts[0] == 1 and h2.counts[-1] == 1
 
 
+def test_infinity_clamps_to_last_bin():
+    h = LogHistogram(lo=1e-3, hi=1e3, bins_per_decade=1)
+    h.observe(0.5)
+    h.observe(math.inf)
+    assert h.counts[-1] == 1
+    assert sum(h.counts) == h.count == 2
+    assert h.max == math.inf
+    assert h.min == 0.5
+
+
+def test_exemplar_lookup_at_infinity_uses_last_bin():
+    h = LogHistogram(lo=1e-3, hi=1e3, bins_per_decade=1)
+    h.set_exemplar(h.n_bins - 1, "1:0:7")
+    assert h.exemplar_for(math.inf) == "1:0:7"
+    assert h.exemplar_for(-math.inf) is None
+
+
+def test_nan_is_rejected_without_touching_state():
+    h = LogHistogram(lo=1e-3, hi=1e3, bins_per_decade=1)
+    h.observe(0.5)
+    before = (list(h.counts), h.count, h.total, h.min, h.max)
+    with pytest.raises(ValueError, match="NaN"):
+        h.observe(math.nan)
+    assert (list(h.counts), h.count, h.total, h.min, h.max) == before
+    with pytest.raises(ValueError, match="NaN"):
+        h.exemplar_for(math.nan)
+
+
+@pytest.mark.parametrize("bins_per_decade", [1, 3, 7])
+def test_observe_bins_every_value_where_bin_of_says(bins_per_decade):
+    """``observe`` inlines ``_bin_of``; the two must never disagree."""
+    h = LogHistogram(lo=1e-7, hi=1e4, bins_per_decade=bins_per_decade)
+    values = [0.0, 1e-7, 1e4, 1e300, math.inf, -1.0, -math.inf]
+    values += [10 ** (k / 17 - 8) for k in range(230)]
+    for value in values:
+        expected = h._bin_of(value)
+        before = list(h.counts)
+        h.observe(value)
+        assert [a - b for a, b in zip(h.counts, before)] == [
+            int(i == expected) for i in range(h.n_bins)
+        ], value
+
+
 def test_empty_histogram_summaries():
     h = LogHistogram()
     assert h.count == 0
