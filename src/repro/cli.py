@@ -18,10 +18,9 @@ owns is a usage error.  Commands and their flags:
     telemetry  [--seed S] [--ranks-per-node N] [--queue-depth N]
                [--inject-failure] [--fail-after N] [--json] [--check]
     chaos      [--seed S] [--seeds N] [--ranks-per-node N] [--fail-after N]
-               [--no-fast-lane] [--columnar] [--json] [--check]
+               [--no-fast-lane] [--json] [--check]
     store      [--topology | --drill] [--no-repair] [--seed S]
-               [--ranks-per-node N] [--no-fast-lane] [--columnar]
-               [--json] [--check]
+               [--ranks-per-node N] [--no-fast-lane] [--json] [--check]
     diagnose   [--seed S] [--ranks-per-node N] [--fail-after N]
                [--no-fast-lane] [--json] [--check]
     profile    [--seed S] [--ranks-per-node N] [--no-fast-lane] [--json]
@@ -32,16 +31,14 @@ owns is a usage error.  Commands and their flags:
     fleet      [--scan | --export | --catalog] [--no-fast-lane]
                [--json] [--check]
     forensics  [--capture | --show ID | --diff A B] [--seed S]
-               [--fail-after N] [--no-fast-lane] [--columnar]
-               [--json] [--check]
-    explain    [--job ID] [--seed S] [--no-fast-lane] [--columnar]
-               [--json] [--check]
+               [--fail-after N] [--no-fast-lane] [--json] [--check]
+    explain    [--job ID] [--seed S] [--no-fast-lane] [--json] [--check]
 
 All commands print the reproduced rows/series to stdout; scale flags
 trade fidelity for wall-clock time (see EXPERIMENTS.md for the
-scale-invariance argument).  The lane flags pick a row of
-:data:`repro.experiments.chaos.LANES`: ``--no-fast-lane`` the
-per-message reference lane, ``--columnar`` the record-batch lane.
+scale-invariance argument).  ``--no-fast-lane`` picks the per-message
+reference lane of :data:`repro.experiments.chaos.LANES`; the default is
+the fast lane, whose express spine arms wherever its guard allows.
 
 Exit codes are uniform across every ``--check``-capable command:
 0 = OK, 1 = an invariant is broken (ledger violated, fault undetected,
@@ -70,14 +67,11 @@ def _usage_error(args, message: str):
 
 
 def _lane(args) -> str:
-    """The :data:`~repro.experiments.chaos.LANES` row the lane flags pick."""
+    """The :data:`~repro.experiments.chaos.LANES` row ``--no-fast-lane``
+    picks."""
     from repro.experiments.chaos import lane_name
 
-    try:
-        return lane_name(not args.no_fast_lane, getattr(args, "columnar", False))
-    except ValueError:
-        _usage_error(args, "--columnar requires the fast lane "
-                           "(drop --no-fast-lane)")
+    return lane_name(not args.no_fast_lane)
 
 
 def _mode(args, modes: tuple, default: str) -> str:
@@ -549,7 +543,7 @@ def _cmd_explain(args) -> None:
     id has no stored events).  With ``--check``, exits 1 unless every
     injected fault class is classified correctly (per-class precision
     and recall 1.0), the clean run's sole verdict is ``healthy``, and
-    the report JSON is byte-stable — on both the slow and columnar
+    the report JSON is byte-stable — on both the slow and fast
     lanes.
     """
     from repro.diagnosis.explain import (
@@ -559,17 +553,16 @@ def _cmd_explain(args) -> None:
         score_verdicts,
     )
 
-    _lane(args)  # exit 2 on --columnar --no-fast-lane
-    fast, columnar = not args.no_fast_lane, args.columnar
+    fast = not args.no_fast_lane
 
     if args.check:
         ok, lines = check_explain(args.seed)
         _conclude(ok, lines,
                   "OK: every fault class classified, clean run healthy, "
-                  "reports byte-stable on the slow and columnar lanes")
+                  "reports byte-stable on the slow and fast lanes")
         return
 
-    campaign = explain_campaign(args.seed, fast=fast, columnar=columnar)
+    campaign = explain_campaign(args.seed, fast=fast)
     epoch = campaign.epoch
     report = campaign.report
     if args.job is not None and args.job != report.job_id:
@@ -580,14 +573,12 @@ def _cmd_explain(args) -> None:
         report = explain_job(campaign.world, args.job)
     score = score_verdicts(report.verdicts, campaign.applied)
 
-    clean = explain_campaign(args.seed, fast=fast, columnar=columnar,
-                             faults=None)
+    clean = explain_campaign(args.seed, fast=fast, faults=None)
 
     if args.json:
         _print_json({
             "seed": args.seed,
             "fast_lane": fast,
-            "columnar": columnar,
             "applied_faults": _fault_rows(campaign.world),
             "report": report.to_dict(epoch),
             "score": score.to_dict(),
@@ -735,15 +726,15 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    """Tracked pipeline benchmark: slow vs fast vs columnar, one process.
+    """Tracked pipeline benchmark: slow vs fast lane, one process.
 
     Writes ``benchmarks/BENCH_pipeline.json`` (or ``--out``).  With
     ``--json``, prints the result payload as sorted JSON on stdout
     (diagnostics go to stderr) and writes a dated snapshot under
     ``benchmarks/results/`` instead of touching the tracked file.  With
-    ``--check``, compares the measured lane speedups against the
+    ``--check``, compares the measured fast/slow speedup against the
     committed file and exits nonzero on a >25 % regression — the
-    ratios, not the walls, so the check is machine-independent — and
+    ratio, not the walls, so the check is machine-independent — and
     likewise fails any lane whose peak RSS regressed >25 % over the
     committed per-lane peak (skipped where the kernel offers no
     per-lane watermark reset).
@@ -774,36 +765,27 @@ def _cmd_bench(args) -> None:
                   f"events/s={r['events_per_sec']:>8.1f} "
                   f"engine_events={r['engine_events']} "
                   f"peak_rss_kib={r['peak_rss_kib']}")
-        spine = result["columnar"].get("spine")
+        spine = result["fast"].get("spine")
         if spine:
-            print(f"  spine: {spine['record_batches']} record batches, "
+            print(f"  spine: {spine['record_batches']} first-hop batches, "
                   f"mean {spine['mean_batch_rows']:.1f} rows "
                   f"(max {spine['max_batch_rows']}), "
                   f"{spine['ingest_flushes']} ingest flushes, "
                   f"{spine['dearms']} de-arms")
         print(f"  speedup (events/s, fast vs slow): "
               f"{result['speedup_events_per_sec']:.2f}x")
-        print(f"  speedup (events/s, columnar vs fast): "
-              f"{result['speedup_columnar_vs_fast']:.2f}x "
-              f"(vs slow: {result['speedup_columnar_vs_slow']:.2f}x)")
-        if result["speedup_vs_fast_baseline"]:
-            print(f"  columnar vs recorded fast-lane baseline: "
-                  f"{result['speedup_vs_fast_baseline']:.2f}x")
         if result["speedup_vs_seed_baseline"]:
-            print(f"  columnar vs pre-optimization baseline: "
+            print(f"  fast vs pre-optimization baseline: "
                   f"{result['speedup_vs_seed_baseline']:.2f}x")
 
     committed_path = Path(args.out) if args.out else DEFAULT_RESULT_PATH
     if args.check:
         committed = json.loads(committed_path.read_text())
         fails = []
-        for key in ("speedup_events_per_sec", "speedup_columnar_vs_slow"):
-            if key not in committed:
-                continue
-            floor = committed[key] * 0.75
-            if result[key] < floor:
-                fails.append(f"FAIL: {key} {result[key]:.2f}x regressed "
-                             f"below 75% of committed {committed[key]:.2f}x")
+        key = "speedup_events_per_sec"
+        if result[key] < committed[key] * 0.75:
+            fails.append(f"FAIL: {key} {result[key]:.2f}x regressed "
+                         f"below 75% of committed {committed[key]:.2f}x")
         for lane in LANES:
             mine, theirs = result[lane], committed.get(lane)
             if (
@@ -818,7 +800,7 @@ def _cmd_bench(args) -> None:
                              f"{mine['peak_rss_kib']} KiB regressed >25% "
                              f"over committed {theirs['peak_rss_kib']} KiB")
         _conclude(not fails, fails,
-                  "OK: lane speedups and peak RSS within 25% of committed",
+                  "OK: lane speedup and peak RSS within 25% of committed",
                   file=log)
     elif not args.json:
         committed_path.parent.mkdir(parents=True, exist_ok=True)
@@ -932,7 +914,7 @@ def _cmd_forensics(args) -> None:
     whole-run snapshot under the id ``clean-0``) and reports which
     streams diverged first.  All modes honour ``--json`` (byte-stable
     sorted payloads).  With ``--check``, capture mode reruns the
-    campaign on the slow and columnar lanes and exits 1 unless every
+    campaign on the slow and fast lanes and exits 1 unless every
     injected fault class produced at least one bundle whose evidence
     names a detecting signal, every ring reconciles ``captured ==
     retained + evicted``, and bundle JSON is byte-stable across
@@ -948,11 +930,10 @@ def _cmd_forensics(args) -> None:
     )
 
     mode = _mode(args, ("capture", "show", "diff"), default="capture")
-    _lane(args)  # exit 2 on --columnar --no-fast-lane
-    fast, columnar = not args.no_fast_lane, args.columnar
+    fast = not args.no_fast_lane
 
     if mode == "show":
-        cap = capture_campaign(args.seed, fast=fast, columnar=columnar,
+        cap = capture_campaign(args.seed, fast=fast,
                                fail_after=args.fail_after)
         bundle = cap.find(args.show)
         if bundle is None:
@@ -977,10 +958,10 @@ def _cmd_forensics(args) -> None:
 
     if mode == "diff":
         a_id, b_id = args.diff
-        faulted = capture_campaign(args.seed, fast=fast, columnar=columnar,
+        faulted = capture_campaign(args.seed, fast=fast,
                                    fail_after=args.fail_after)
-        clean = capture_campaign(args.seed, fast=fast, columnar=columnar,
-                                 faults=None, snapshot_id="clean-0")
+        clean = capture_campaign(args.seed, fast=fast, faults=None,
+                                 snapshot_id="clean-0")
 
         def find(bundle_id):
             found = faulted.find(bundle_id)
@@ -1008,8 +989,7 @@ def _cmd_forensics(args) -> None:
         return
 
     # -- capture (default) ---------------------------------------------
-    cap = capture_campaign(args.seed, fast=fast, columnar=columnar,
-                           fail_after=args.fail_after)
+    cap = capture_campaign(args.seed, fast=fast, fail_after=args.fail_after)
     recorder = cap.recorder
     matches = match_bundles(cap.applied, cap.bundles, cap.epoch)
 
@@ -1017,7 +997,6 @@ def _cmd_forensics(args) -> None:
         _print_json({
             "seed": args.seed,
             "fast_lane": fast,
-            "columnar": columnar,
             "applied_faults": _fault_rows(cap.world),
             "bundles": [b.to_dict() for b in cap.bundles],
             "recorder": recorder.stats(),
@@ -1091,8 +1070,6 @@ _FLAGS = {
                    "messages seen at L1 before the crash"),
     "no_fast_lane": ("--no-fast-lane", bool, False,
                      "the per-message reference lane"),
-    "columnar": ("--columnar", bool, False,
-                 "the columnar record-batch lane (bit-identical results)"),
     "json": ("--json", bool, False,
              "machine-readable JSON (sorted keys) instead of the text report"),
     "check": ("--check", bool, False,
@@ -1130,8 +1107,6 @@ _FLAGS = {
              {"nargs": 2, "metavar": ("A", "B")}),
 }
 
-_LANE_FLAGS = ("no_fast_lane", "columnar")
-
 #: Command -> (handler, the flags it reads).
 _COMMANDS = {
     "table2a": (_cmd_table2a, ("seed", "reps", "ranks_per_node")),
@@ -1149,9 +1124,10 @@ _COMMANDS = {
                                    "inject_failure", "fail_after", "json",
                                    "check")),
     "chaos": (_cmd_chaos, ("seed", "seeds", "ranks_per_node", "fail_after",
-                           *_LANE_FLAGS, "json", "check")),
+                           "no_fast_lane", "json", "check")),
     "store": (_cmd_store, ("topology", "drill", "no_repair", "seed",
-                           "ranks_per_node", *_LANE_FLAGS, "json", "check")),
+                           "ranks_per_node", "no_fast_lane", "json",
+                           "check")),
     "diagnose": (_cmd_diagnose, ("seed", "ranks_per_node", "fail_after",
                                  "no_fast_lane", "json", "check")),
     "profile": (_cmd_profile, ("seed", "ranks_per_node", "no_fast_lane",
@@ -1163,9 +1139,9 @@ _COMMANDS = {
     "fleet": (_cmd_fleet, ("scan", "export", "catalog", "no_fast_lane",
                            "json", "check")),
     "forensics": (_cmd_forensics, ("capture", "show", "diff", "seed",
-                                   "fail_after", *_LANE_FLAGS, "json",
+                                   "fail_after", "no_fast_lane", "json",
                                    "check")),
-    "explain": (_cmd_explain, ("job", "seed", *_LANE_FLAGS, "json",
+    "explain": (_cmd_explain, ("job", "seed", "no_fast_lane", "json",
                                "check")),
 }
 

@@ -1,28 +1,46 @@
-"""Columnar record batches and the express spine.
+"""The fast lane's columnar rows and the express spine.
 
-The unit of work through the monitoring pipeline becomes a *batch of
-events*, not an event.  Three cooperating pieces:
+Two pieces:
 
-* :class:`RecordBatch` — the columnar layout (parallel arrays per
-  column: trace ids, payload sizes, compiled shapes, slot values).  No
-  list-of-dicts anywhere: a row is an index, a column is an array.
 * :class:`ColumnarMessage` — a lazy, StreamMessage-duck-typed view of
-  one row, for the per-message fallback path: the payload join and the
+  one formatted row, for the per-message path: the payload and the
   parsed dict materialize only if something downstream actually reads
-  them (chaos paths, spill buffers, CSV stores).
-* :class:`ColumnarSpine` — the express lane: when an armed guard proves
-  nothing can observe the difference, the publish → forward → ingest
-  pipeline for connector traffic is *virtualized*.  Each hop's timing
-  recurrence (outbox drain, fused link transfer, deferred same-instant
-  kick) is computed arithmetically on a small private heap instead of
-  through engine events, so ``engine_events`` scales with application
-  I/O, not with monitoring messages.  Every externally observable
-  artifact — bus/forward counters (the *real* stats objects are
-  mutated), DSOS rows and their round-robin placement, ingest-journal
-  WAL entries, telemetry hops with exact ``t_in``/``t_out``, gauges,
-  histograms — is produced identically, at the identical simulated
-  instants, with the identical float arithmetic as the event-driven
-  fast lane.
+  them (chaos paths, CSV stores).
+* :class:`ColumnarSpine` — the express spine: when an armed guard
+  proves nothing can observe the difference, the publish → forward →
+  ingest pipeline for connector traffic is *virtualized*.  Each hop's
+  timing recurrence (outbox drain, fused link transfer, deferred
+  same-instant kick) is computed arithmetically on a small private
+  heap instead of through engine events, so ``engine_events`` scales
+  with application I/O, not with monitoring messages.  Every
+  externally observable artifact — bus/forward counters (the *real*
+  stats objects are mutated), DSOS rows and their round-robin
+  placement, ingest-journal WAL entries, telemetry hops with exact
+  ``t_in``/``t_out``, gauges, histograms — is produced identically, at
+  the identical simulated instants, with the identical float
+  arithmetic as the event-driven path.
+
+A virtual transfer carries the outbox's row tuples
+``(trace_id, nbytes, shape, values, t_enqueue)`` as they are; no
+per-row dict exists until the terminal store builds the database
+object.
+
+Same-instant bursts
+-------------------
+
+An idle real forwarder drains on a zero-delay kick event, behind every
+event already due at that instant, so rows published at one instant
+leave as one batch.  The spine keeps that schedule at both hops:
+
+* L0 (compute daemons): when the engine still has an event due at the
+  row's instant, the drain is deferred to a real zero-delay engine
+  event — the same place in the event order the real kick takes.
+  Otherwise nothing else can join the batch first and the hop drains
+  at once; an instant whose row is provably alone on an idle spine
+  runs the closed-form fused path (both hops as arithmetic).
+* L1 (the head relay): rows arrive only from virtual completions, so
+  the deferred kick is a drain entry on the spine's own heap, ordered
+  behind every completion already due at that instant.
 
 Guard discipline
 ----------------
@@ -32,18 +50,20 @@ policy, no standby aggregator, no diagnosis engine, no probe scanner,
 no CSV store, single-link routes, fast-lane daemons and store.
 Telemetry may be armed — the spine emits exact hop records.  Any
 mutation that could break the mirror (a daemon failing or turning
-flaky, a link partition/degrade, congestion attach, a new subscriber
-on a spine bus, samplers starting, a foreign publish on the spine's
-tag, a new ingest observer) *de-arms first*: queued virtual traffic
-completes delivery to the pre-mutation topology, then the pipeline
-returns to the per-message path.  De-arm is one-way for the mutating
-scenario and slightly generous — rows a real crash would have purged
-from an outbox instead finish delivery — which is why every
-guard-breaking scenario falls back *before* the mutation applies.
+flaky, a link partition/degrade, congestion attach, a subscriber
+joining or leaving a spine bus, samplers starting, a foreign publish
+on the spine's tag, a new ingest observer, a store stall) *de-arms
+first*: queued virtual traffic completes delivery to the pre-mutation
+topology, then the pipeline returns to the per-message path.  De-arm
+is one-way for the mutating scenario and slightly generous — rows a
+real crash would have purged from an outbox instead finish delivery —
+which is why every guard-breaking scenario falls back *before* the
+mutation applies.
 
-Ties at identical float times may resolve in a different order than
-the event-driven path (the spine schedules no events to tie against);
-with continuous service times such ties do not occur — the same caveat
+Ties at identical float times between *unrelated* instants (a transfer
+completing exactly when a publish lands) may still resolve in a
+different order than the event-driven path; with continuous service
+times such ties do not occur — the same caveat
 :meth:`~repro.cluster.network.Network.transfer_coalesced` documents.
 """
 
@@ -51,13 +71,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.sim import Event
 from repro.telemetry import trace as _trace
 from repro.telemetry.collector import collector_for
 
 __all__ = [
-    "RecordBatch",
     "ColumnarMessage",
     "ColumnarSpine",
     "SpineStats",
@@ -73,45 +93,8 @@ def spine_for(env) -> "ColumnarSpine | None":
     return getattr(env, _ENV_ATTR, None)
 
 
-class RecordBatch:
-    """Array-of-fields container for a burst of formatted events.
-
-    Parallel columns, one entry per row: the trace id, the payload
-    size in bytes (== the joined payload's length, computed without
-    joining), the compiled :class:`~repro.core.json_format._Shape`,
-    and the shape's varying slot values.  Everything downstream —
-    transfer byte totals, DSOS row construction, hop attribution — is
-    answered from the columns; no per-row dict exists until (unless)
-    the terminal store builds the database object itself.
-    """
-
-    __slots__ = ("trace_ids", "nbytes", "shapes", "values", "times")
-
-    def __init__(self):
-        self.trace_ids: list[str] = []
-        self.nbytes: list[int] = []
-        self.shapes: list = []
-        self.values: list[tuple] = []
-        #: Per-row stage timestamp (enqueue instant at the current hop).
-        self.times: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self.trace_ids)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.nbytes)
-
-    def append(self, trace_id: str, nbytes: int, shape, values, t: float) -> None:
-        self.trace_ids.append(trace_id)
-        self.nbytes.append(nbytes)
-        self.shapes.append(shape)
-        self.values.append(values)
-        self.times.append(t)
-
-
 class ColumnarMessage:
-    """A StreamMessage-shaped view of one columnar row, lazily joined.
+    """A StreamMessage-shaped view of one columnar row, lazily rendered.
 
     Duck-types the frozen :class:`~repro.ldms.streams.StreamMessage`
     for every consumer in the tree (buses, forwarders, stores, spill
@@ -122,11 +105,11 @@ class ColumnarMessage:
 
     __slots__ = (
         "tag", "fmt", "src_node", "publish_time", "trace_id",
-        "size_bytes", "_shape", "_values", "_vstrs", "_payload", "_parsed",
+        "size_bytes", "_shape", "_values", "_payload", "_parsed",
     )
 
     def __init__(
-        self, tag, shape, values, vstrs, nbytes,
+        self, tag, shape, values, nbytes,
         src_node="", publish_time=0.0, trace_id="",
     ):
         self.tag = tag
@@ -137,7 +120,6 @@ class ColumnarMessage:
         self.size_bytes = nbytes
         self._shape = shape
         self._values = values
-        self._vstrs = vstrs
         self._payload = None
         self._parsed = None
 
@@ -155,12 +137,7 @@ class ColumnarMessage:
     def payload(self) -> str:
         payload = self._payload
         if payload is None:
-            vstrs = self._vstrs
-            if vstrs is None:  # lazy-formatted row: re-render from values
-                payload = self._shape.render(self._values)[0]
-            else:
-                payload = self._shape.payload(vstrs)
-            self._payload = payload
+            payload = self._payload = self._shape.render(self._values)[0]
         return payload
 
     @property
@@ -173,13 +150,13 @@ class ColumnarMessage:
 
 @dataclass
 class SpineStats:
-    """Batch-allocation accounting for one express spine."""
+    """Batch accounting for one express spine."""
 
     #: Rows appended (one per published event while armed).
     rows: int = 0
-    #: Transfer-level RecordBatches assembled at the first hop.
+    #: Transfers started at the first hop (one batch of rows each).
     record_batches: int = 0
-    #: Rows carried by those batches (== rows, minus overflow drops).
+    #: Rows carried by those transfers (== rows, minus overflow drops).
     batch_rows: int = 0
     max_batch_rows: int = 0
     #: ``insert_many`` flushes of the ingest slab.
@@ -199,24 +176,25 @@ class _VirtualForwarder:
 
     Reproduces, arithmetically: the bounded outbox (same capacity and
     overflow rule as ``Store.try_put``), depth accounting against the
-    *real* ``ForwardStats``, the drain of up to ``batch_size`` rows
-    when idle, and the fused uncontended single-link completion time
+    *real* ``ForwardStats``, the drain of up to ``batch_size`` rows,
+    and the fused uncontended single-link completion time
     ``(t + latency·f) + transmit(total)·f`` with the identical float
     operand order as ``_Forwarder._kick`` — so completion instants are
     bit-identical to the event-driven schedule.
 
     Occupancy is a timestamp, not a flag: ``busy_until`` is the instant
     the hop frees up.  A transfer started by :meth:`drain` leaves a
-    completion entry in the spine's heap (``tracked``); a transfer
-    fused closed-form by :meth:`ColumnarSpine._fuse` leaves only the
-    timestamp, so a later row that queues behind it plants a one-shot
-    drain marker (``pending_drain``) at ``busy_until`` — the instant
-    the real ``_kick`` loop would have drained it.
+    completion entry in the spine's heap (``tracked``) that drains the
+    hop again when it lands, as the real completion callback does.  A
+    transfer fused closed-form by the spine leaves only the timestamp.
+    Any other drain is a heap entry queued by :meth:`queue_drain`
+    (``drain_queued``): the deferred same-instant kick, or the instant
+    a fused transfer frees the hop.
     """
 
     __slots__ = (
         "spine", "fwd", "fstats", "link", "node", "tag", "outbox",
-        "capacity", "busy_until", "tracked", "pending_drain",
+        "capacity", "busy_until", "tracked", "drain_queued",
     )
 
     def __init__(self, spine, fwd, link):
@@ -230,27 +208,26 @@ class _VirtualForwarder:
         self.capacity = fwd.outbox.capacity
         self.busy_until = float("-inf")
         self.tracked = False
-        self.pending_drain = False
+        self.drain_queued = False
+
+    def queue_drain(self, t: float) -> None:
+        """Rows are waiting at ``t``: drain behind everything already
+        due then (the real forwarder's zero-delay kick), or when the
+        fused transfer holding the hop frees it.  A tracked transfer
+        drains on its own completion; a queued drain covers new rows."""
+        if not self.tracked and not self.drain_queued:
+            self.drain_queued = True
+            busy = self.busy_until
+            self.spine._push(t if t > busy else busy, self, None, 0)
 
     def drain(self, t: float) -> None:
-        """Start a transfer at ``t`` if idle and rows are queued."""
-        if not self.outbox:
-            return
-        if self.busy_until > t:
-            if not self.tracked and not self.pending_drain:
-                # A fused transfer holds this hop with no completion
-                # entry to trigger the next drain; mark the instant it
-                # frees up.
-                self.pending_drain = True
-                self.spine._push(self.busy_until, self, None, 0)
-            return
+        """Start a transfer at ``t`` (the hop is free) if rows are queued."""
         outbox = self.outbox
+        if not outbox:
+            return
         take = min(len(outbox), self.fwd.batch_size)
-        batch = RecordBatch()
-        for _ in range(take):
-            row = outbox.popleft()
-            batch.append(*row)
-        total = batch.total_bytes
+        rows = [outbox.popleft() for _ in range(take)]
+        total = sum(row[1] for row in rows)
         # Same fused arithmetic as _Forwarder._kick (factor is 1.0 by
         # guard; multiplying keeps the operand order literal).
         factor = 1.0
@@ -258,7 +235,7 @@ class _VirtualForwarder:
         done = (t + link.latency_s * factor) + link.transmit_time(total) * factor
         self.busy_until = done
         self.tracked = True
-        self.spine._push(done, self, batch, total)
+        self.spine._push(done, self, rows, total)
 
 
 class ColumnarSpine:
@@ -272,9 +249,12 @@ class ColumnarSpine:
         self.fabric = world.fabric
         self.stats = SpineStats()
         self._armed = False
-        #: (time, seq, vfwd, batch, total_bytes) virtual completions.
+        #: (time, seq, vfwd, rows | None, total_bytes) virtual
+        #: completions (rows) and queued drains (None).
         self._heap: list = []
         self._hseq = 0
+        #: L0 hops whose same-instant kick waits on a real engine event.
+        self._kicks: list[_VirtualForwarder] = []
         self._l0: dict[str, _VirtualForwarder] = {}
         self._l1: _VirtualForwarder | None = None
         #: Cross-group ingest slab: DSOS rows awaiting one insert_many.
@@ -397,16 +377,35 @@ class ColumnarSpine:
 
     # -- the virtual clock ------------------------------------------------
 
-    def _push(self, t: float, vfwd, batch, total: int) -> None:
-        heapq.heappush(self._heap, (t, self._hseq, vfwd, batch, total))
+    def _push(self, t: float, vfwd, rows, total: int) -> None:
+        heapq.heappush(self._heap, (t, self._hseq, vfwd, rows, total))
         self._hseq += 1
+
+    def _kick_later(self, vfwd: _VirtualForwarder) -> None:
+        """Defer an L0 drain to a zero-delay engine event: the engine
+        still has events due at this instant, and rows they publish
+        must join the batch exactly as they join the real outbox
+        before the real kick fires."""
+        vfwd.drain_queued = True
+        self._kicks.append(vfwd)
+        kick = Event(self.env)
+        kick.callbacks.append(lambda _event: self._kick(vfwd))
+        kick.succeed()
+
+    def _kick(self, vfwd: _VirtualForwarder) -> None:
+        if vfwd.drain_queued:  # else a de-arm already drained the hop
+            self._kicks.remove(vfwd)
+            vfwd.drain_queued = False
+            now = self.env.now
+            self.advance(now)
+            vfwd.drain(now)
 
     def advance(self, now: float) -> None:
         """Apply every virtual completion due at or before ``now``."""
         heap = self._heap
         while heap and heap[0][0] <= now:
-            t, _, vfwd, batch, total = heapq.heappop(heap)
-            self._complete(vfwd, batch, total, t)
+            t, _, vfwd, rows, total = heapq.heappop(heap)
+            self._complete(vfwd, rows, total, t)
         if len(self._slab) >= self._slab_cap:
             self._flush_slab()
 
@@ -416,10 +415,19 @@ class ColumnarSpine:
         Returns the last virtual completion instant, ``-inf`` if the
         spine never carried traffic.
         """
+        if self._kicks:
+            # De-arm before a pending same-instant kick fired: drain
+            # those hops now (the real kick is due at this instant).
+            now = self.env.now
+            self.advance(now)
+            for vfwd in self._kicks:
+                vfwd.drain_queued = False
+                vfwd.drain(now)
+            self._kicks.clear()
         heap = self._heap
         while heap:
-            t, _, vfwd, batch, total = heapq.heappop(heap)
-            self._complete(vfwd, batch, total, t)
+            t, _, vfwd, rows, total = heapq.heappop(heap)
+            self._complete(vfwd, rows, total, t)
         self._flush_slab()
         return self.last_time
 
@@ -431,13 +439,16 @@ class ColumnarSpine:
     ) -> None:
         """One published event enters the spine at ``env.now``.
 
-        The caller (the connector's columnar lane) has already advanced
-        the clock to the publish-completion instant ``t_done`` and
-        charged its own stats; this mirrors ``publish_prepaid`` → bus →
+        The caller (the connector's fast lane) has already advanced the
+        clock to the publish-completion instant ``t_done`` and charged
+        its own stats; this mirrors ``publish_prepaid`` → bus →
         forwarder-enqueue exactly, then lets the virtual transport run.
         """
         env = self.env
         now = env.now
+        # Does the engine still have events due at this instant?  Their
+        # publishes would join this row's first-hop batch.
+        alone = env.peek() > now
         if self._heap:
             self.advance(now)
         elif len(self._slab) >= self._slab_cap:
@@ -451,17 +462,20 @@ class ColumnarSpine:
         bus_stats.bytes_published += nbytes
         l1 = self._l1
         if (
-            not self._heap
+            alone
+            and not self._heap
             and not vfwd.outbox and vfwd.busy_until <= now
             and not l1.outbox
             and 0 < vfwd.capacity and 0 < l1.capacity
         ):
-            # Nothing in flight anywhere on the spine and the first hop
-            # is idle: the row's completion instant is closed-form —
-            # enqueue → drain → transfer → deliver → transfer → ingest
-            # collapsed to arithmetic.  Valid only because both hops are
-            # provably idle and the heap empty, so the row is a one-row
-            # batch at each hop and nothing can reorder around it.
+            # Nothing in flight anywhere on the spine, the first hop is
+            # idle and nothing else is due at this instant: the row's
+            # completion instant is closed-form — enqueue → drain →
+            # transfer → deliver → transfer → ingest collapsed to
+            # arithmetic.  Valid only because both hops are provably
+            # idle, the heap empty and the instant this row's alone, so
+            # the row is a one-row batch at each hop and nothing can
+            # reorder around it.
             # Emits the identical stats, hops, gauges, journal
             # admissions and DSOS rows — in the identical per-trace
             # order, at the identical instants — as the generic
@@ -547,7 +561,13 @@ class ColumnarSpine:
         bus_stats.delivered += 1
         if collector is not None:
             collector.hop(trace_id, _trace.STAGE_BUS, node, _trace.DELIVERED)
-        vfwd.drain(now)
+        if not (vfwd.tracked or vfwd.drain_queued):
+            if vfwd.busy_until > now:
+                vfwd.queue_drain(now)
+            elif alone:
+                vfwd.drain(now)
+            else:
+                self._kick_later(vfwd)
         if now > self.last_time:
             self.last_time = now
 
@@ -590,79 +610,80 @@ class ColumnarSpine:
             t_in=t1, t_out=t1,
         )
 
-    def _complete(self, vfwd, batch: RecordBatch, total: int, t: float) -> None:
-        """A virtual transfer finished at ``t``: deliver, drain again."""
-        if batch is None:
-            # Deferred-drain marker: the fused transfer occupying this
-            # hop finished at ``t``; the queued rows drain now.
-            vfwd.pending_drain = False
+    def _complete(self, vfwd, rows, total: int, t: float) -> None:
+        """A heap entry is due at ``t``: a queued drain (``rows`` is
+        None) or a finished transfer — deliver it, then drain again."""
+        if rows is None:
+            vfwd.drain_queued = False
             vfwd.drain(t)
             return
-        n = len(batch)
-        fwd = vfwd.fwd
-        fwd.stats.forwarded += n
-        fwd.stats.bytes_forwarded += total
+        n = len(rows)
+        fstats = vfwd.fstats
+        fstats.forwarded += n
+        fstats.bytes_forwarded += total
         collector = collector_for(self.env)
         if collector is not None:
-            self._close_forward_hops(collector, vfwd, batch, t)
+            self._close_forward_hops(collector, vfwd, rows, t)
         if vfwd is self._l1:
-            self._ingest(batch, t)
+            self._ingest(rows, t)
         else:
-            self.stats.record_batches += 1
-            self.stats.batch_rows += n
-            if n > self.stats.max_batch_rows:
-                self.stats.max_batch_rows = n
-            self._deliver_to_l1(batch, t)
+            stats = self.stats
+            stats.record_batches += 1
+            stats.batch_rows += n
+            if n > stats.max_batch_rows:
+                stats.max_batch_rows = n
+            self._deliver_to_l1(rows, t)
         vfwd.tracked = False
         vfwd.drain(t)
         if t > self.last_time:
             self.last_time = t
 
-    def _close_forward_hops(self, collector, vfwd, batch, t: float) -> None:
+    def _close_forward_hops(self, collector, vfwd, rows, t: float) -> None:
         node = vfwd.node
         stage = _trace.STAGE_FORWARD
         if vfwd is self._l1:
             # L1 entry times travel with the rows (no collector._open
             # entry exists for the virtual hop).
-            for tid, t_in in zip(batch.trace_ids, batch.times):
+            for tid, _, _, _, t_in in rows:
                 collector.hop(tid, stage, node, _trace.FORWARDED, t_in=t_in, t_out=t)
         else:
             open_hops = collector._open
-            for tid in batch.trace_ids:
+            for row in rows:
+                tid = row[0]
                 t_in = open_hops.pop((tid, stage, node), t)
                 collector.hop(tid, stage, node, _trace.FORWARDED, t_in=t_in, t_out=t)
 
-    def _deliver_to_l1(self, batch: RecordBatch, t: float) -> None:
+    def _deliver_to_l1(self, rows, t: float) -> None:
         """Group-enqueue at the L1 relay, then one deferred drain.
 
         Mirrors ``receive_batch``: every row passes through the L1 bus
-        (stats + hops) into the L1 outbox; the drain runs once after
-        the whole group is queued — the same schedule as the real
-        deferred same-instant kick firing after all n publishes.
+        (stats + hops) into the L1 outbox; the drain is queued behind
+        every completion already due at ``t`` — the real deferred
+        same-instant kick, which fires after every first-hop batch
+        landing at ``t`` has been delivered.
         """
         l1 = self._l1
         fwd = l1.fwd
-        bus_stats = fwd.owner.streams.stats
+        fstats = l1.fstats
+        bus_stats = self._l1bus_stats
         node = l1.node
+        outbox = l1.outbox
+        capacity = l1.capacity
         collector = collector_for(self.env)
         gauge_name = fwd.depth_gauge
-        for i in range(len(batch)):
-            tid = batch.trace_ids[i]
-            nbytes = batch.nbytes[i]
+        for tid, nbytes, shape, values, _ in rows:
             bus_stats.published += 1
             bus_stats.bytes_published += nbytes
-            if len(l1.outbox) < l1.capacity:
-                l1.outbox.append(
-                    (tid, nbytes, batch.shapes[i], batch.values[i], t)
-                )
-                fwd.stats.enqueued += 1
-                depth = len(l1.outbox)
-                if depth > fwd.stats.max_queue_depth:
-                    fwd.stats.max_queue_depth = depth
+            if len(outbox) < capacity:
+                outbox.append((tid, nbytes, shape, values, t))
+                fstats.enqueued += 1
+                depth = len(outbox)
+                if depth > fstats.max_queue_depth:
+                    fstats.max_queue_depth = depth
                 if collector is not None:
                     collector.gauge(gauge_name, depth)
             else:
-                fwd.stats.dropped_overflow += 1
+                fstats.dropped_overflow += 1
                 if collector is not None:
                     collector.hop(
                         tid, _trace.STAGE_FORWARD, node,
@@ -673,9 +694,9 @@ class ColumnarSpine:
                 collector.hop(
                     tid, _trace.STAGE_BUS, node, _trace.DELIVERED, t_in=t, t_out=t
                 )
-        l1.drain(t)
+        l1.queue_drain(t)
 
-    def _ingest(self, batch: RecordBatch, t: float) -> None:
+    def _ingest(self, rows, t: float) -> None:
         """Terminal delivery: L2 bus accounting + columnar DSOS ingest.
 
         The guard pinned the L2 subscriber list to exactly the store's
@@ -685,21 +706,20 @@ class ColumnarSpine:
         slab for one ``insert_many``.
         """
         store = self.store
-        bus_stats = store._bus.stats
-        journal = store.journal
+        bus_stats = self._sbus_stats
+        journal = self._journal
         node = self.fabric.l2.node.name
         collector = collector_for(self.env)
         slab = self._slab
-        rows_fn = store.columnar_rows
-        for i in range(len(batch)):
-            tid = batch.trace_ids[i]
+        rows_fn = self._rows_fn
+        for tid, nbytes, shape, values, _ in rows:
             bus_stats.published += 1
-            bus_stats.bytes_published += batch.nbytes[i]
+            bus_stats.bytes_published += nbytes
             if journal is not None and tid:
                 journal.admit_at(tid, t)
-            rows = rows_fn(batch.shapes[i], batch.values[i])
-            slab.extend(rows)
-            store.objects_stored += len(rows)
+            built = rows_fn(shape, values)
+            slab.extend(built)
+            store.objects_stored += len(built)
             bus_stats.delivered += 1
             if collector is not None:
                 collector.hop(

@@ -11,7 +11,7 @@ daemon, push-based, exactly the design argument of Section IV-B.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from zlib import crc32
 
 from repro.core.batch import ColumnarMessage, spine_for
@@ -50,9 +50,11 @@ class ConnectorConfig:
     #: current behaviour; >1 = the future-work sampling).
     sample_every: int = 1
     cost_model: FormatCostModel = field(default_factory=FormatCostModel)
-    #: Host-side fast lane: template-compiled formatting plus coalesced
-    #: publish (format + send charged in one engine trip at the exact
-    #: times the two-trip path computes).  Simulated results are
+    #: Host-side fast lane: template-compiled column-wise formatting
+    #: (payload render deferred), coalesced publish (format + send charged
+    #: in one engine trip at the exact times the two-trip path
+    #: computes) and, when the world's express spine is armed, the
+    #: virtualized publish→forward→ingest path.  Simulated results are
     #: bit-identical either way; False keeps the reference path.
     fast_lane: bool = True
     #: Spill-to-Darshan-log fallback (the real connector's behaviour
@@ -64,24 +66,21 @@ class ConnectorConfig:
     reconnect_base_s: float = 0.05
     reconnect_cap_s: float = 2.0
     reconnect_max_attempts: int = 30
-    #: Columnar record-batch lane: events render column-wise (payload
-    #: join deferred) and, when the world's express spine is armed, a
-    #: rank's burst moves through publish→forward→ingest as one
-    #: RecordBatch instead of N messages.  Simulated results are
-    #: bit-identical to both existing lanes; requires ``fast_lane``.
-    columnar: bool = False
+    #: Compatibility keyword only: the columnar path *is* the fast
+    #: lane.  Must equal ``fast_lane`` when given; stored nowhere.
+    columnar: InitVar[bool | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, columnar: bool | None) -> None:
         if self.format_mode not in ("json", "none"):
             raise ValueError(f"format_mode must be json or none, got {self.format_mode!r}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         if self.reconnect_max_attempts < 1:
             raise ValueError("reconnect_max_attempts must be >= 1")
-        if self.columnar and not self.fast_lane:
+        if columnar is not None and columnar != self.fast_lane:
             raise ValueError(
-                "columnar is a refinement of the fast lane "
-                "(ConnectorConfig(columnar=True) requires fast_lane=True)"
+                "columnar is the fast lane: ConnectorConfig(columnar=...) "
+                "must equal fast_lane"
             )
 
 
@@ -129,14 +128,14 @@ class DarshanLdmsConnector:
         self.env = runtime.env
         self.config = config
         self._daemon_for_node = daemon_for_node
-        self.builder = MessageBuilder(config.cost_model, fast=config.fast_lane)
+        self.builder = MessageBuilder(config.cost_model)
         self.sampler = EventSampler(config.sample_every)
         self.stats = ConnectorStats()
         # Frozen-config fields the per-event path reads, hoisted to
         # plain attributes (one lookup instead of two, 62k+ times).
         self._stream_tag = config.stream_tag
         self._format_mode = config.format_mode
-        self._columnar = config.columnar
+        self._fast_lane = config.fast_lane
         self._spill_enabled = config.spill
         self._sample_all = config.sample_every == 1
         self._job_id = runtime.job_id
@@ -173,10 +172,9 @@ class DarshanLdmsConnector:
             stats.messages_suppressed += 1
             return
 
-        if self._columnar:
+        if self._fast_lane:
             formatted = self.builder.format_columnar(
-                event, mode=self._format_mode,
-                lazy=not self._spill_enabled,
+                event, mode=self._format_mode
             )
             if type(formatted) is ColumnarFormatted:
                 if not self._spill_enabled:
@@ -184,21 +182,21 @@ class DarshanLdmsConnector:
                     if pending is not None:
                         yield from pending
                     return
-                # Spill runs buffer joined payloads (the in-memory
+                # Spill runs buffer rendered payloads (the in-memory
                 # stand-in for the Darshan log); materialize this row
                 # and take the reference spill path — identical strings,
                 # identical accounting.
                 formatted = FormattedMessage(
-                    payload=formatted.shape.payload(formatted.vstrs),
+                    payload=formatted.shape.render(formatted.values)[0],
                     numeric_conversions=formatted.numeric_conversions,
                     format_cost_s=formatted.format_cost_s,
                     parsed=formatted.shape.parsed(formatted.values),
                 )
             # else: shape miss or ablation mode — ``formatted`` is a
-            # regular FormattedMessage; continue through the standard
-            # lanes below.
+            # regular FormattedMessage; continue through the publish
+            # paths below.
         else:
-            formatted = self.builder.format(event, mode=self.config.format_mode)
+            formatted = self.builder.format(event, mode=self._format_mode)
         stats.numeric_conversions += formatted.numeric_conversions
         stats.format_seconds += formatted.format_cost_s
         payload = formatted.payload or "{}"
@@ -255,20 +253,20 @@ class DarshanLdmsConnector:
         stats.bytes_published += len(payload)
 
     def _publish_columnar(self, event: IOEvent, formatted: ColumnarFormatted):
-        """The columnar lane's publish half.
+        """The fast lane's publish half for a column-wise formatted event.
 
         Express path (armed spine): both lane instants — ``t_pub`` and
         ``t_done`` — are computed with the fast lane's exact float
         operand order, the engine clock fast-forwards with **zero**
         events when no other process is due in the window, and the
-        event enters the spine's virtual transport as one record-batch
-        row.  That path is a plain call — no generator exists for it;
-        this returns ``None`` when the event is fully handled, or a
-        generator the caller must drive (a real engine wait, after
-        which the spine is *re-checked*: a de-arm during the wait sends
-        the event down the per-message path it now belongs to, where a
-        lazy :class:`~repro.core.batch.ColumnarMessage` rides the
-        identical pipeline the fast lane uses).
+        event enters the spine's virtual transport as one row.  That
+        path is a plain call — no generator exists for it; this returns
+        ``None`` when the event is fully handled, or a generator the
+        caller must drive (a real engine wait, after which the spine is
+        *re-checked*: a de-armed or unarmed spine sends the event down
+        the per-message path, where a lazy
+        :class:`~repro.core.batch.ColumnarMessage` rides the
+        event-driven pipeline).
         """
         stats = self.stats
         stats.numeric_conversions += formatted.numeric_conversions
@@ -305,7 +303,7 @@ class DarshanLdmsConnector:
     def _publish_columnar_wait(
         self, event, formatted, daemon, trace_id, nbytes, t_pub, t_done
     ):
-        """The columnar publish that needs a real engine wait."""
+        """The fast-lane publish that needs a real engine wait."""
         env = self.env
         yield env.timeout_at(t_done)
         spine = spine_for(env)
@@ -327,7 +325,7 @@ class DarshanLdmsConnector:
             daemon.publish_prepaid_message(
                 ColumnarMessage(
                     self.config.stream_tag,
-                    formatted.shape, formatted.values, formatted.vstrs, nbytes,
+                    formatted.shape, formatted.values, nbytes,
                     src_node=daemon.node.name,
                     publish_time=t_pub,
                     trace_id=trace_id,

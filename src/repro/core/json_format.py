@@ -23,12 +23,16 @@ The *simulated* cost above is authoritative; how fast the host computes
 the payload is not.  Messages from one (context, module, op) shape
 differ only in a handful of numeric fields, so the builder precompiles
 a payload template per shape — the static JSON chunks rendered once,
-the varying numerics interpolated per event — and memoizes the
-numeric-field count instead of walking every message.  Each template is
-verified against the full ``json.dumps`` path once at compile time (and
-per message under ``REPRO_FORMAT_DEBUG=1``), so fast and slow lanes are
-byte-identical by construction; shapes that fail the self-check fall
-back to the slow path.
+the varying numerics rendered per event — and memoizes the
+numeric-field count instead of walking every message.
+:meth:`MessageBuilder.format_columnar` computes the accounting from
+the varying slots and defers rendering the payload until something
+reads it; :meth:`MessageBuilder.format` is the reference
+``json.dumps`` walk.  Each template is verified against the
+reference once at compile time (and per message under
+``REPRO_FORMAT_DEBUG=1``), so both paths are byte-identical by
+construction; shapes that fail the self-check fall back to the
+reference.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class FormattedMessage:
     format_cost_s: float
     #: Fast-lane extra: the dict ``json.loads(payload)`` would produce,
     #: rebuilt from the shape's template so downstream consumers (the
-    #: DSOS store) can skip the parse.  None on the slow path.
+    #: DSOS store) can skip the parse.  None from :meth:`format`.
     parsed: dict | None = None
 
 
@@ -188,46 +192,14 @@ class _Shape:
             i += 1
         return "".join(parts), n
 
-    def render_parts(self, values) -> tuple[list, int, int]:
-        """Render only the varying slots; defer the payload join.
-
-        Returns ``(value_strings, numeric, payload_chars)`` where
-        ``payload_chars`` equals ``len(self.payload(value_strings))``
-        exactly — the cost model and ``size_bytes`` accounting need the
-        length, but the columnar lane may never need the joined string.
-        """
-        vstrs = []
-        append = vstrs.append
-        # Every slot is presumed numeric (true for all template shapes);
-        # the rare non-numeric slot deducts itself in its branch.
-        n = self.static_numeric + len(values)
-        chars = self.static_chars
-        dumps = json.dumps
-        for v in values:
-            t = type(v)
-            if t is int:
-                s = repr(v)
-            elif t is float:
-                if v == v and v != _INF and v != -_INF:
-                    s = float.__repr__(v)
-                else:
-                    s = dumps(v)
-            else:
-                s = dumps(v)
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    n -= 1
-            append(s)
-            chars += len(s)
-        return vstrs, n, chars
-
     def render_meta(self, values) -> tuple[int, int]:
         """Accounting only: ``(numeric, payload_chars)``, nothing rendered.
 
-        Exactly the last two results of :meth:`render_parts` — int slot
-        lengths come from the digit-count table instead of ``repr``,
-        floats still repr for their length (no closed form exists) —
-        but no value string is kept.  The express columnar lane never
-        joins a payload, so this is all it needs.
+        Exactly ``render(values)``'s numeric count and payload length —
+        int slot lengths come from the digit-count table instead of
+        ``repr``, floats still repr for their length (no closed form
+        exists) — but no string is built.  The fast lane needs only the
+        accounting; a consumer that reads the payload renders it then.
         """
         n = self.static_numeric + len(values)
         chars = self.static_chars
@@ -257,35 +229,23 @@ class _Shape:
                 chars += len(s)
         return n, chars
 
-    def payload(self, vstrs) -> str:
-        """Join value strings back into the full payload (one pass)."""
-        statics = self.statics
-        parts = [statics[0]]
-        append = parts.append
-        i = 1
-        for s in vstrs:
-            append(s)
-            append(statics[i])
-            i += 1
-        return "".join(parts)
-
 
 class ColumnarFormatted:
-    """One event rendered column-wise: the shape, its slot values and
-    their string renderings, plus the usual accounting — with the
-    payload join and dict materialization deferred.  The columnar lane
-    appends these straight into a RecordBatch; the joined payload is
-    only ever built if something downstream actually reads it."""
+    """One event formatted column-wise: the shape and its slot values
+    plus the usual accounting, with the payload render and dict
+    materialization deferred.  The fast lane hands the shape and values
+    straight to the express spine or a lazy
+    :class:`~repro.core.batch.ColumnarMessage`; the payload is only
+    ever rendered if something downstream actually reads it."""
 
     __slots__ = (
-        "shape", "values", "vstrs", "numeric_conversions",
-        "payload_chars", "format_cost_s",
+        "shape", "values", "numeric_conversions", "payload_chars",
+        "format_cost_s",
     )
 
-    def __init__(self, shape, values, vstrs, numeric, nchars, cost):
+    def __init__(self, shape, values, numeric, nchars, cost):
         self.shape = shape
         self.values = values
-        self.vstrs = vstrs
         self.numeric_conversions = numeric
         self.payload_chars = nchars
         self.format_cost_s = cost
@@ -298,13 +258,11 @@ class MessageBuilder:
         self,
         cost_model: FormatCostModel | None = None,
         *,
-        fast: bool = True,
         debug: bool | None = None,
     ):
         self.cost_model = cost_model or FormatCostModel()
-        self._fast = fast
         self._debug = FORMAT_DEBUG if debug is None else debug
-        #: shape key -> _Shape (or None: self-check failed, use slow path).
+        #: shape key -> _Shape (or None: self-check failed, use format()).
         self._shapes: dict[tuple, "_Shape | None"] = {}
 
     # -- message assembly ---------------------------------------------------
@@ -478,6 +436,7 @@ class MessageBuilder:
     def format(self, event: IOEvent, mode: str = "json") -> FormattedMessage:
         """Assemble and serialize; returns payload + charged cost.
 
+        The reference path: the full message dict through ``json.dumps``.
         ``mode="json"`` is the production path; ``mode="none"`` is the
         paper's ablation — the send function is called with a constant
         placeholder payload and no conversions happen.
@@ -489,51 +448,23 @@ class MessageBuilder:
             )
         if mode != "json":
             raise ValueError(f"unknown format mode {mode!r} (use 'json' or 'none')")
-        if not self._fast:
-            return self._format_slow(event)
-
-        shapes = self._shapes
-        key = self._shape_key(event)
-        shape = shapes.get(key, _MISSING)
-        if shape is _MISSING:
-            shape = shapes[key] = self._compile(event)
-        if shape is None:
-            return self._format_slow(event)
-        values = self._values(event)
-        payload, numeric = shape.render(values)
-        parsed = shape.parsed(values)
-        if self._debug:
-            reference = self._format_slow(event)
-            assert payload == reference.payload, (payload, reference.payload)
-            assert numeric == reference.numeric_conversions
-            assert parsed == json.loads(payload)
-        cost = self.cost_model.cost(numeric, len(payload))
-        return FormattedMessage(
-            payload=payload, numeric_conversions=numeric, format_cost_s=cost,
-            parsed=parsed,
-        )
+        return self._format_slow(event)
 
     def format_columnar(
-        self, event: IOEvent, mode: str = "json", *, lazy: bool = False
+        self, event: IOEvent, mode: str = "json"
     ) -> "ColumnarFormatted | FormattedMessage":
-        """Columnar-lane front half: render the varying slots, skip the
-        payload join.
+        """The fast lane's formatter: accounting now, payload on demand.
 
-        Returns a :class:`ColumnarFormatted` when the shape compiles.
-        Falls back to :meth:`format`'s FormattedMessage for the
-        ``mode="none"`` ablation, shapes that failed their self-check,
-        the slow builder, and debug mode (where the per-message
-        cross-check needs the joined payload anyway).  Costs and counts
-        are identical either way: ``payload_chars`` is exactly the
-        joined payload's length.
-
-        With ``lazy=True`` even the per-slot value strings are skipped
-        (``vstrs`` is None): :meth:`_Shape.render_meta` supplies the
-        identical numeric/char accounting, and any consumer that does
-        need the payload re-renders from ``values`` — the express spine
-        never does.
+        Returns a :class:`ColumnarFormatted` when the shape compiles:
+        :meth:`_Shape.render_meta` supplies the numeric/char accounting
+        without building a string, and any consumer that does need the
+        payload renders it from ``values`` — the express spine never
+        does.  Falls back to :meth:`format`'s FormattedMessage for the
+        ``mode="none"`` ablation and shapes that failed their
+        self-check.  Costs and counts are identical either way:
+        ``payload_chars`` is exactly the rendered payload's length.
         """
-        if mode != "json" or not self._fast or self._debug:
+        if mode != "json":
             return self.format(event, mode)
         shapes = self._shapes
         key = self._shape_key(event)
@@ -543,10 +474,14 @@ class MessageBuilder:
         if shape is None:
             return self._format_slow(event)
         values = self._values(event)
-        if lazy:
-            numeric, nchars = shape.render_meta(values)
-            cost = self.cost_model.cost(numeric, nchars)
-            return ColumnarFormatted(shape, values, None, numeric, nchars, cost)
-        vstrs, numeric, nchars = shape.render_parts(values)
+        numeric, nchars = shape.render_meta(values)
         cost = self.cost_model.cost(numeric, nchars)
-        return ColumnarFormatted(shape, values, vstrs, numeric, nchars, cost)
+        if self._debug:
+            reference = self._format_slow(event)
+            payload = shape.render(values)[0]
+            assert payload == reference.payload, (payload, reference.payload)
+            assert nchars == len(payload)
+            assert numeric == reference.numeric_conversions
+            assert cost == reference.format_cost_s
+            assert shape.parsed(values) == json.loads(payload)
+        return ColumnarFormatted(shape, values, numeric, nchars, cost)

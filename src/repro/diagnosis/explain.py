@@ -17,7 +17,7 @@ incidents, never the injected ground truth.  The ground truth is used
 :data:`CLASSIFIERS` map (the verdict-level sibling of
 :data:`~repro.diagnosis.scoring.DETECTORS`) into per-class
 precision/recall/confusion — ``repro explain --check`` requires both
-at 1.0 on the slow and columnar lanes, with a fault-free control run
+at 1.0 on the slow and fast lanes, with a fault-free control run
 classifying ``healthy``.
 
 Everything is a deterministic pure read over a finished world: a
@@ -701,7 +701,6 @@ class ExplainCampaign:
 
 
 def explain_campaign(seed: int = 42, *, fast: bool = True,
-                     columnar: bool = False,
                      faults="explain") -> ExplainCampaign:
     """Run the four-class chaos campaign and explain its job.
 
@@ -721,7 +720,7 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
     )
 
     world, result = run_campaign(
-        seed, lane=lane_name(fast, columnar),
+        seed, lane=lane_name(fast),
         faults=explain_plan() if faults == "explain" else faults,
         iterations=24,
         diagnosis=diagnosis_config(queue_depth_threshold=64),
@@ -750,9 +749,8 @@ def check_explain(seed: int = 42, lanes=None):
     from repro.experiments.chaos import CHECK_LANES, LANES, check_lanes
 
     def campaign(lane, faults="explain"):
-        switches = LANES[lane]
-        return explain_campaign(seed, fast=switches["fast_lane"],
-                                columnar=switches["columnar"], faults=faults)
+        return explain_campaign(seed, fast=LANES[lane]["fast_lane"],
+                                faults=faults)
 
     def judge(first, lane):
         failures = []

@@ -348,8 +348,7 @@ class CaptureResult:
         return self.recorder.bundle(bundle_id)
 
 
-def capture_campaign(seed: int = 42, *, fast: bool = True,
-                     columnar: bool = False, faults="chaos",
+def capture_campaign(seed: int = 42, *, fast: bool = True, faults="chaos",
                      fail_after: int = 50,
                      snapshot_id: str | None = None) -> CaptureResult:
     """Run the chaos campaign with diagnosis + flight recorder armed.
@@ -368,7 +367,7 @@ def capture_campaign(seed: int = 42, *, fast: bool = True,
     )
 
     world, result = run_campaign(
-        seed, lane=lane_name(fast, columnar),
+        seed, lane=lane_name(fast),
         faults=chaos_plan(fail_after) if faults == "chaos" else faults,
         diagnosis=diagnosis_config(), flightrec=flightrec_config(),
     )
@@ -418,8 +417,7 @@ def check_forensics(seed: int = 42, lanes=None):
         )
 
     return check_lanes(
-        lambda lane: capture_campaign(seed, fast=LANES[lane]["fast_lane"],
-                                      columnar=LANES[lane]["columnar"]),
+        lambda lane: capture_campaign(seed, fast=LANES[lane]["fast_lane"]),
         lambda cap: [b.to_canonical_json() for b in cap.bundles],
         judge, what="bundle JSON", lanes=lanes or CHECK_LANES,
     )

@@ -269,6 +269,8 @@ class DsosStreamStore:
         stored nor dropped until :meth:`end_slow_episode` flushes them,
         and a run that ends mid-episode reconciles them as in-flight.
         """
+        if self._express_spine is not None:
+            self._express_spine.on_mutation()
         self._slow = True
 
     def end_slow_episode(self) -> None:

@@ -1,4 +1,4 @@
-"""Tracked pipeline benchmark: the optimization lanes' receipts.
+"""Tracked pipeline benchmark: the fast lane's receipts.
 
 One fixed-seed HMMER campaign (the paper's highest-rate workload,
 Table IIc) driven end to end — Darshan runtime → connector → three-level
@@ -6,11 +6,9 @@ aggregation → DSOS ingest — once per lane, **in the same process** so
 the walls are comparable:
 
 * ``slow`` — every fast-lane switch off: the per-message reference path.
-* ``fast`` — template formatting, coalesced publish, batched forward
-  delivery and batched DSOS ingest.
-* ``columnar`` — the record-batch spine: bursts move as columnar
-  RecordBatches and, with the express spine armed, publish→forward→
-  ingest is virtualized so engine events scale with application I/O.
+* ``fast`` — column-wise formatting, coalesced publish and, with the
+  express spine armed (this inert campaign arms it), publish→forward→
+  ingest virtualized so engine events scale with application I/O.
 
 Host wall-clock, host events/sec, engine event count and a *per-lane*
 peak RSS are recorded; results land in ``benchmarks/BENCH_pipeline.json``
@@ -19,14 +17,13 @@ via ``python -m repro.cli bench``.
 The report separates what may differ from what must not:
 
 * per-lane sections hold **host** metrics only (wall, events/sec,
-  engine events, RSS, batch counters) — the things the lanes exist to
-  change;
+  engine events, RSS, spine batch counters) — the things the fast
+  lane exists to change;
 * one shared ``simulated`` section holds the simulated outcome
   (messages, bytes, conversions, overhead seconds, rows, sim runtime),
-  asserted identical across all three lanes on every run.  Earlier
-  revisions duplicated these per lane, which read as a
-  counters-not-reset bug; each lane runs a fresh world and connector,
-  and ``benchmarks/test_perf_pipeline.py`` pins the per-run freshness.
+  asserted identical across both lanes on every run.  Each lane runs
+  a fresh world and connector, and ``benchmarks/test_perf_pipeline.py``
+  pins the per-run freshness.
 
 Peak RSS: ``ru_maxrss`` is a process-lifetime high-water mark, so the
 second lane always inherited the first lane's peak.  Where the kernel
@@ -35,17 +32,15 @@ each lane and read back from ``VmHWM``, giving a genuinely per-lane
 peak; ``peak_rss_resettable`` records whether that worked (falling back
 to the monotone ``ru_maxrss`` otherwise).
 
-Two speedup comparisons matter: the in-process lane ratios
-(machine-independent, what ``bench --check`` regresses against) and the
-ratios versus the recorded baselines — ``seed_baseline`` (the tree this
-optimization series branched from) and ``fast_baseline`` (the fast
-lane as committed by the previous optimization PR, the ~9.4k events/s
-the columnar spine is measured against).
+Two speedup comparisons matter: the in-process fast/slow ratio
+(machine-independent, what ``bench --check`` regresses against) and
+the ratio versus ``seed_baseline``, the tree this optimization series
+branched from.
 
-Every lane is a pure host-side optimization: simulated results are
+The fast lane is a pure host-side optimization: simulated results are
 bit-identical across lanes — ``tests/property/test_fastlane_properties``
-and ``tests/property/test_columnar_properties`` hold that line, and
-:func:`pipeline_benchmark` re-asserts the cheap invariants on every run.
+holds that line, and :func:`pipeline_benchmark` re-asserts the cheap
+invariants on every run.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ __all__ = [
     "snapshot_path",
     "DEFAULT_RESULT_PATH",
     "SEED_BASELINE",
-    "FAST_BASELINE",
     "LANES",
 ]
 
@@ -115,17 +109,6 @@ SEED_BASELINE = {
     "events_seen": 62159,
     "wall_s": [13.56, 16.25],
     "events_per_sec": [4584, 3824],
-}
-
-#: The fast lane as committed by the previous optimization PR (full
-#: campaign, reference machine) — the baseline the columnar spine's
-#: ≥3x target is measured against.
-FAST_BASELINE = {
-    "campaign": SEED_BASELINE["campaign"],
-    "events_seen": 62159,
-    "events_per_sec": 9402.4,
-    "engine_events": 320704,
-    "peak_rss_kib": 320016,
 }
 
 #: Reduced campaign for CI (--quick): same shape, smaller Pfam input.
@@ -231,9 +214,9 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
 def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
     """Run the tracked pipeline benchmark; returns the result payload.
 
-    Runs the slow (reference) lane, the fast lane, then the columnar
-    lane in this process, and asserts the simulated outcomes match —
-    no lane may buy speed with fidelity.
+    Runs the slow (reference) lane, then the fast lane in this
+    process, and asserts the simulated outcomes match — no lane may buy
+    speed with fidelity.
     """
     n_families = _QUICK_FAMILIES if quick else _FULL_FAMILIES
     hosts: dict[str, dict] = {}
@@ -243,7 +226,7 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
             lane=lane, n_families=n_families, seed=seed
         )
 
-    # Fidelity line: identical simulated results in every lane.
+    # Fidelity line: identical simulated results on both lanes.
     reference = sims["slow"]
     for lane in LANES[1:]:
         for key in _SIM_KEYS:
@@ -258,11 +241,7 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
         not quick and reference["events_seen"] == SEED_BASELINE["events_seen"]
     )
     vs_seed = (
-        round(eps["columnar"] / min(SEED_BASELINE["events_per_sec"]), 2)
-        if full_campaign else None
-    )
-    vs_fast_baseline = (
-        round(eps["columnar"] / FAST_BASELINE["events_per_sec"], 2)
+        round(eps["fast"] / min(SEED_BASELINE["events_per_sec"]), 2)
         if full_campaign else None
     )
     return {
@@ -272,14 +251,9 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
             "n_nodes": 2, "seed": seed, "filesystem": "nfs", "quick": quick,
         },
         "seed_baseline": SEED_BASELINE,
-        "fast_baseline": FAST_BASELINE,
         "simulated": reference,
         "slow": hosts["slow"],
         "fast": hosts["fast"],
-        "columnar": hosts["columnar"],
         "speedup_events_per_sec": round(eps["fast"] / eps["slow"], 3),
-        "speedup_columnar_vs_fast": round(eps["columnar"] / eps["fast"], 3),
-        "speedup_columnar_vs_slow": round(eps["columnar"] / eps["slow"], 3),
         "speedup_vs_seed_baseline": vs_seed,
-        "speedup_vs_fast_baseline": vs_fast_baseline,
     }

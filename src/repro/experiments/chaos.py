@@ -26,24 +26,22 @@ __all__ = [
 
 #: Lane name -> the switches it sets on *both* WorldConfig and
 #: ConnectorConfig, slowest first.  ``slow`` is the per-message
-#: reference path; simulated results are bit-identical on every lane.
+#: reference path; ``fast`` arms the express spine wherever its guard
+#: allows.  Simulated results are bit-identical on both lanes.
 LANES = {
-    "slow": {"fast_lane": False, "columnar": False},
-    "fast": {"fast_lane": True, "columnar": False},
-    "columnar": {"fast_lane": True, "columnar": True},
+    "slow": {"fast_lane": False},
+    "fast": {"fast_lane": True},
 }
 
-#: Lanes the ``forensics``/``explain`` checks exercise: the reference
-#: lane and the columnar lane, whose spine must refuse to arm under the
-#: observers and fall back bit-identically.
-CHECK_LANES = ("slow", "columnar")
+#: Lanes the ``forensics``/``explain`` checks exercise: both, so the
+#: fast lane's spine must refuse to arm under the observers and the
+#: event-driven path must match the reference.
+CHECK_LANES = tuple(LANES)
 
 
-def lane_name(fast: bool = True, columnar: bool = False) -> str:
-    """The :data:`LANES` key for a ``(fast_lane, columnar)`` pair."""
-    if columnar and not fast:
-        raise ValueError("the columnar lane requires the fast lane")
-    return "columnar" if columnar else "fast" if fast else "slow"
+def lane_name(fast: bool = True) -> str:
+    """The :data:`LANES` key for a ``fast_lane`` switch."""
+    return "fast" if fast else "slow"
 
 
 def partition_plan(fail_after: int = 50):

@@ -17,7 +17,7 @@ negative overhead cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.dsos import DsosClient, DsosCluster, DsosStreamStore
@@ -83,16 +83,16 @@ class WorldConfig:
     #: overflow drops; the default matches production ldmsd).
     forward_queue_depth: int = 65536
     #: Host-side fast lane through the monitoring pipeline (batched
-    #: forward delivery + batched DSOS ingest).  Simulated results are
+    #: forward delivery, batched DSOS ingest and, when the world is
+    #: provably inert — no faults/retry/standby/diagnosis/probe/CSV/
+    #: recorder/samplers — an express spine that virtualizes
+    #: publish→forward→ingest so engine events scale with application
+    #: I/O instead of monitoring messages).  Simulated results are
     #: identical either way; False keeps the per-message reference path.
     fast_lane: bool = True
-    #: Columnar record-batch lane (requires ``fast_lane``): connector
-    #: bursts move as RecordBatches and, when the world is provably
-    #: inert (no faults/retry/standby/diagnosis/probe/CSV/samplers),
-    #: an express spine virtualizes publish→forward→ingest so engine
-    #: events scale with application I/O instead of monitoring
-    #: messages.  Simulated results are bit-identical either way.
-    columnar: bool = False
+    #: Compatibility keyword only: the columnar path *is* the fast
+    #: lane.  Must equal ``fast_lane`` when given; stored nowhere.
+    columnar: InitVar[bool | None] = None
     #: A :class:`~repro.faults.FaultPlan` to arm against this world
     #: (None = no injector at all; an *empty* plan arms to nothing and
     #: is bit-identical to None — pinned by the property suite).
@@ -126,6 +126,13 @@ class WorldConfig:
     #: seeded campaign is byte-identical with the recorder armed or
     #: absent on every lane — pinned by the flightrec property suite.
     flightrec: object = False
+
+    def __post_init__(self, columnar: bool | None) -> None:
+        if columnar is not None and columnar != self.fast_lane:
+            raise ValueError(
+                "columnar is the fast lane: WorldConfig(columnar=...) "
+                "must equal fast_lane"
+            )
 
     @property
     def epoch(self) -> float:
@@ -250,7 +257,7 @@ class World:
 
         # Black-box flight recorder: armed after the fault injector (so
         # the applied-fault feed exists to observe) and before the
-        # columnar spine, whose arming guard must see the recorder's
+        # express spine, whose arming guard must see the recorder's
         # store ingest observer and refuse to virtualize.
         self.flight_recorder = None
         if config.flightrec:
@@ -267,19 +274,14 @@ class World:
             self.flight_recorder = FlightRecorder(self, fr_config)
             self.flight_recorder.arm()
 
-        # Columnar express spine: built last of all so its arming guard
-        # sees the finished world.  try_arm refuses whenever anything
-        # could observe the virtualization (and any later guard-breaking
+        # Express spine: built last of all so its arming guard sees
+        # the finished world.  try_arm refuses whenever anything could
+        # observe the virtualization (and any later guard-breaking
         # mutation de-arms it mid-run), so `spine.armed` is False on
         # every chaos/retry/diagnosis configuration — those worlds run
-        # the columnar per-message fallback, bit-identical to fast lane.
+        # the event-driven fast lane.
         self.spine = None
-        if config.columnar:
-            if not config.fast_lane:
-                raise ValueError(
-                    "columnar is a refinement of the fast lane "
-                    "(WorldConfig(columnar=True) requires fast_lane=True)"
-                )
+        if config.fast_lane:
             from repro.core.batch import ColumnarSpine
 
             self.spine = ColumnarSpine(self)

@@ -669,8 +669,8 @@ class Ldmsd:
     def publish_prepaid_message(self, message) -> int:
         """:meth:`publish_prepaid` for a caller-built message object.
 
-        The columnar per-message fallback publishes a lazy
-        :class:`~repro.core.batch.ColumnarMessage` whose payload joins
+        The fast lane's per-message path publishes a lazy
+        :class:`~repro.core.batch.ColumnarMessage` whose payload renders
         only if something downstream reads it; semantics (failure
         check, publish hop, bus delivery) are identical.
         """

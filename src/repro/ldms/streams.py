@@ -127,6 +127,8 @@ class StreamsBus:
         self._subscribers.setdefault(tag, []).append(callback)
 
     def unsubscribe(self, tag: str, callback) -> None:
+        if self._express_spine is not None:
+            self._express_spine.on_mutation()
         try:
             self._subscribers.get(tag, []).remove(callback)
         except ValueError:

@@ -169,7 +169,7 @@ class TraceCollector:
 
     # -- count-weighted batch hops --------------------------------------
     #
-    # A record batch moving as one unit still represents N messages: a
+    # A forwarder batch moving as one unit still represents N messages: a
     # hop (or drop) at a batch boundary must attribute all N, not 1, or
     # the reconciliation ledger under-counts exactly when batching is
     # on.  These helpers stamp one record per trace id — identical

@@ -22,7 +22,7 @@ serialized through the store's WAL framing
 Purity: recording is observation only.  The recorder's tick is a *weak*
 simulation event, every hook is an append into host-side state, it
 draws no randomness and schedules nothing — a seeded campaign with the
-recorder armed is byte-identical to one without, on all three lanes
+recorder armed is byte-identical to one without, on both lanes
 (pinned by ``tests/property/test_flightrec_properties.py``).  All
 recorded times are epoch-relative, so same-seed runs freeze
 byte-identical bundles regardless of ``campaign_offset_days``.
@@ -380,7 +380,7 @@ class FlightRecorder:
         """Install every observer hook and the weak recorder tick.
 
         Must run after the fault injector is built (its applied-log
-        observer) and before the columnar spine (whose arming guard
+        observer) and before the express spine (whose arming guard
         must see the recorder's store ingest observer).
         """
         if self._armed:

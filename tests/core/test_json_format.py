@@ -11,6 +11,7 @@ from repro.core import (
     MessageBuilder,
     SEG_FIELDS,
 )
+from repro.core.json_format import ColumnarFormatted
 from repro.darshan.runtime import IOEvent
 from repro.fs.posix import IOContext
 
@@ -170,25 +171,34 @@ _GOLDEN_SHAPES = {
 }
 
 
+def _fast(builder, event):
+    """The fast lane's formatting of ``event``."""
+    fm = builder.format_columnar(event)
+    assert type(fm) is ColumnarFormatted  # the shape compiled
+    return fm
+
+
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
 def test_fast_lane_payload_matches_slow_walk(shape):
     event = _event(**_GOLDEN_SHAPES[shape])
-    fast = MessageBuilder(fast=True).format(event)
-    slow = MessageBuilder(fast=False).format(event)
-    assert fast.payload == slow.payload  # byte-identical serialization
+    fast = _fast(MessageBuilder(), event)
+    slow = MessageBuilder().format(event)
+    # byte-identical serialization, rendered on demand from the values
+    assert fast.shape.render(fast.values)[0] == slow.payload
+    assert fast.payload_chars == len(slow.payload)
     assert fast.format_cost_s == slow.format_cost_s
 
 
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
 def test_fast_lane_numeric_count_matches_fresh_walk(shape):
     event = _event(**_GOLDEN_SHAPES[shape])
-    builder = MessageBuilder(fast=True)
+    builder = MessageBuilder()
     # Warm the shape cache, then format again so the memoized count is
     # what gets compared — not the first-call compile.
-    builder.format(event)
-    fm = builder.format(event)
+    _fast(builder, event)
+    fm = _fast(builder, event)
     fresh = MessageBuilder.count_numeric_fields(
-        MessageBuilder(fast=False).message_dict(event)
+        MessageBuilder().message_dict(event)
     )
     assert fm.numeric_conversions == fresh
 
@@ -196,16 +206,30 @@ def test_fast_lane_numeric_count_matches_fresh_walk(shape):
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
 def test_fast_lane_parsed_sidecar_equals_json_loads(shape):
     event = _event(**_GOLDEN_SHAPES[shape])
-    builder = MessageBuilder(fast=True)
-    builder.format(event)  # warm the cache; second call uses templates
-    fm = builder.format(event)
-    assert fm.parsed == json.loads(fm.payload)
+    builder = MessageBuilder()
+    _fast(builder, event)  # warm the cache; second call uses templates
+    fm = _fast(builder, event)
+    parsed = fm.shape.parsed(fm.values)
+    payload = json.loads(fm.shape.render(fm.values)[0])
+    assert parsed == payload
     # Key order matters downstream (Figure-3 order is part of the
     # payload contract) — the sidecar must preserve it too.
-    assert list(fm.parsed) == list(json.loads(fm.payload))
-    assert list(fm.parsed["seg"][0]) == list(json.loads(fm.payload)["seg"][0])
+    assert list(parsed) == list(payload)
+    assert list(parsed["seg"][0]) == list(payload["seg"][0])
 
 
 def test_slow_lane_has_no_parsed_sidecar():
-    fm = MessageBuilder(fast=False).format(_event())
+    fm = MessageBuilder().format(_event())
     assert fm.parsed is None
+
+
+def test_debug_mode_cross_checks_every_columnar_message():
+    """``REPRO_FORMAT_DEBUG``'s per-message check lives in
+    format_columnar: it passes on a good template, fires on a bad one."""
+    event = _event()
+    builder = MessageBuilder(debug=True)
+    assert type(builder.format_columnar(event)) is ColumnarFormatted
+    shape = builder._shapes[builder._shape_key(event)]
+    shape.statics = (shape.statics[0] + " ",) + shape.statics[1:]
+    with pytest.raises(AssertionError):
+        builder.format_columnar(event)

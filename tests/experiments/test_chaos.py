@@ -15,18 +15,15 @@ def _lanes_agree(world) -> bool:
     """Every connector runs the lane its world was built for."""
     assert world.connectors
     return all(
-        c.config.fast_lane == world.config.fast_lane
-        and c.config.columnar == world.config.columnar
-        for c in world.connectors
+        c.config.fast_lane == world.config.fast_lane for c in world.connectors
     )
 
 
 def test_lane_table_round_trips_through_lane_name():
+    assert list(LANES) == ["slow", "fast"]
     for name, switches in LANES.items():
-        assert lane_name(switches["fast_lane"], switches["columnar"]) == name
-    assert set(CHECK_LANES) <= set(LANES)
-    with pytest.raises(ValueError):
-        lane_name(fast=False, columnar=True)
+        assert lane_name(switches["fast_lane"]) == name
+    assert set(CHECK_LANES) == set(LANES)
 
 
 @pytest.mark.parametrize("lane", sorted(LANES))
@@ -34,26 +31,30 @@ def test_run_campaign_applies_the_lane_to_world_and_connector(lane):
     world, result = run_campaign(3, lane=lane, iterations=2)
     assert _lanes_agree(world)
     assert world.config.fast_lane == LANES[lane]["fast_lane"]
-    assert world.config.columnar == LANES[lane]["columnar"]
+    # Only the fast lane builds a spine; the chaos world never arms it.
+    assert (world.spine is not None) == LANES[lane]["fast_lane"]
+    assert world.spine is None or not world.spine.armed
     assert result.health.verify()
 
 
 def test_columnar_capture_campaign_runs_the_columnar_connector():
-    """Regression: the columnar check lane once built a fast-lane connector
-    (WorldConfig got ``columnar`` but ConnectorConfig did not)."""
+    """Regression: a check lane once built a connector on a different
+    lane than its world (WorldConfig got a switch ConnectorConfig did
+    not).  The fast lane's connector formats column-wise and its world
+    carries the (unarmed) express spine."""
     from repro.diagnosis.forensics import capture_campaign
 
-    cap = capture_campaign(seed=42, fast=True, columnar=True)
-    assert cap.world.spine is not None
-    assert all(c._columnar for c in cap.world.connectors)
+    cap = capture_campaign(seed=42, fast=True)
+    assert cap.world.spine is not None and not cap.world.spine.armed
+    assert all(c._fast_lane for c in cap.world.connectors)
     assert _lanes_agree(cap.world)
 
 
 def test_columnar_explain_campaign_runs_the_columnar_connector():
     from repro.diagnosis.explain import explain_campaign
 
-    campaign = explain_campaign(seed=42, fast=True, columnar=True)
-    assert all(c._columnar for c in campaign.world.connectors)
+    campaign = explain_campaign(seed=42, fast=True)
+    assert all(c._fast_lane for c in campaign.world.connectors)
     assert _lanes_agree(campaign.world)
     assert campaign.score.ok()
 

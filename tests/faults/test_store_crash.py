@@ -18,10 +18,10 @@ from repro.faults import FaultPlan, StoreCrash
 from repro.ldms.resilience import RetryPolicy
 
 
-def _campaign(plan, *, seed=42, repair=True, fast=True, columnar=False):
+def _campaign(plan, *, seed=42, repair=True, fast=True):
     world = World(WorldConfig(
         seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
+        fast_lane=fast, faults=plan,
         retry=RetryPolicy(), standby_l1=True,
         dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
         dsos_repair=repair,
@@ -32,8 +32,7 @@ def _campaign(plan, *, seed=42, repair=True, fast=True, columnar=False):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(
-            spill=True, fast_lane=fast, columnar=columnar),
+        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
         inter_job_gap_s=0.0,
     )
     return world, result

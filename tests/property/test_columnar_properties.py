@@ -1,39 +1,33 @@
-"""The columnar lane's correctness pin: batch speed without divergence.
+"""The column-wise serializer and the de-armed spine: no divergence.
 
-The record-batch spine claims that moving a rank's burst as one
-columnar RecordBatch — and, with the express spine armed, virtualizing
-publish→forward→ingest outright — is invisible to the simulation.
-These tests hold that line four ways:
+The fast lane formats each event column-wise (a compiled shape plus
+its slot values) and, when the express spine cannot arm, publishes it
+as a lazily rendered :class:`~repro.core.batch.ColumnarMessage`.
+These tests pin both halves against the reference lane:
 
-* property tests over random events — the columnar serializer's
-  accounting (numeric conversions, payload chars, cost) equals the
-  reference formatter's, eager and lazy, and the lazily re-rendered
-  payload is byte-identical;
-* a clean campaign run per lane from one seed — connector stats, DSOS
-  rows, simulated end time, telemetry histograms/gauges and per-trace
-  hop records all bit-identical between the armed express spine and
-  the event-driven fast lane (and stats/rows against the slow lane);
-* a de-armed columnar run (foreign L2 subscriber) — the per-message
-  ColumnarMessage fallback produces the byte-identical payload stream;
-* chaos — a full fault campaign (daemon crash mid-burst, partition,
-  slow store, retry, standby, spill/replay) reconciles exactly and
-  matches the fast lane counter for counter.
+* property tests over random events — ``format_columnar``'s accounting
+  (numeric conversions, payload chars, cost) equals ``format()``'s,
+  and the ColumnarMessage built from it renders the byte-identical
+  payload, its parsed sidecar and the same ``size_bytes``;
+* a de-armed campaign (a foreign L2 subscriber) — the per-message
+  ColumnarMessage path produces the byte-identical payload stream of
+  the slow lane, and de-arming by subscription is indistinguishable
+  from de-arming by an explicit ``dearm()`` before the job.
 """
 
-import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import Hmmer, MpiIoTest
-from repro.core import ConnectorConfig, MessageBuilder
+from repro.core import MessageBuilder
+from repro.core.batch import ColumnarMessage
 from repro.core.json_format import ColumnarFormatted
-from repro.experiments import World, WorldConfig, run_job
-from repro.experiments.world import STREAM_TAG
-from repro.faults import DaemonCrash, FaultPlan, LinkPartition, SlowStore
-from repro.ldms.resilience import RetryPolicy
 
-from tests.property.test_fastlane_properties import _events
+from tests.property.test_fastlane_properties import (
+    _PLAIN,
+    _events,
+    _hmmer_campaign,
+)
 
 
 # ------------------------------------------------------ random events
@@ -42,159 +36,41 @@ from tests.property.test_fastlane_properties import _events
 @given(events=st.lists(_events(), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_columnar_serializer_accounting_is_identical(events):
-    columnar = MessageBuilder(fast=True)
-    reference = MessageBuilder(fast=False)
+    columnar = MessageBuilder()
+    reference = MessageBuilder()
     for event in events:
         ref = reference.format(event)
-        eager = columnar.format_columnar(event)
-        lazy = columnar.format_columnar(event, lazy=True)
-        if type(eager) is not ColumnarFormatted:
+        fm = columnar.format_columnar(event)
+        if type(fm) is not ColumnarFormatted:
             continue  # shape self-check fell back; format() covers it
-        for fm in (eager, lazy):
-            assert fm.numeric_conversions == ref.numeric_conversions
-            assert fm.payload_chars == len(ref.payload)
-            assert fm.format_cost_s == ref.format_cost_s
-        # Eager keeps the slot strings; lazy re-renders on demand.
-        assert eager.shape.payload(eager.vstrs) == ref.payload
-        assert lazy.vstrs is None
-        assert lazy.shape.render(lazy.values)[0] == ref.payload
-        assert lazy.shape.parsed(lazy.values) == json.loads(ref.payload)
+        assert fm.numeric_conversions == ref.numeric_conversions
+        assert fm.payload_chars == len(ref.payload)
+        assert fm.format_cost_s == ref.format_cost_s
+        # The fallback message the connector publishes when the spine
+        # is de-armed: same size on the wire, same bytes when read.
+        msg = ColumnarMessage("darshanConnector", fm.shape, fm.values,
+                              fm.payload_chars)
+        assert msg.size_bytes == len(ref.payload)
+        assert msg.payload == ref.payload
+        assert msg.parsed == json.loads(ref.payload)
 
 
-# ------------------------------------------- clean three-lane identity
-
-
-def _lane_campaign(lane, *, telemetry=False, subscribe=False):
-    fast = lane != "slow"
-    columnar = lane == "columnar"
-    world = World(WorldConfig(
-        seed=1337, quiet=True, n_compute_nodes=2,
-        fast_lane=fast, columnar=columnar, telemetry=telemetry,
-    ))
-    seen = []
-    if subscribe:
-        # A foreign subscriber on the spine's terminal bus: the armed
-        # express spine must stand down before it attaches.
-        world.fabric.l2.streams.subscribe(
-            STREAM_TAG,
-            lambda m: seen.append((m.payload, m.src_node, m.publish_time)),
-        )
-        if columnar:
-            assert not world.spine.armed
-    app = Hmmer(ranks_per_node=4, n_families=40)
-    result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast, columnar=columnar),
-    )
-    out = {
-        "stats": dataclasses.asdict(result.connector.stats),
-        "rows": [dict(obj) for obj in world.query_job(result.job_id)],
-        "sim_runtime": result.runtime_s,
-        "now": world.env.now,
-        "seen": seen,
-    }
-    if telemetry:
-        t = world.telemetry
-        out["hists"] = {k: v.__dict__.copy() for k, v in t.histograms.items()}
-        out["gauges"] = {k: v.__dict__.copy() for k, v in t.gauges.items()}
-        out["hops"] = {
-            tid: [(h.stage, h.node, h.t_in, h.t_out, h.outcome)
-                  for h in tr.hops]
-            for tid, tr in t.traces.items()
-        }
-        out["begins"] = {
-            tid: (tr.job_id, tr.rank, tr.t_begin)
-            for tid, tr in t.traces.items()
-        }
-    return out, world
-
-
-def test_columnar_campaign_is_bit_identical_across_lanes():
-    slow, _ = _lane_campaign("slow")
-    fast, _ = _lane_campaign("fast")
-    columnar, world = _lane_campaign("columnar")
-    # The express spine actually ran (this is not a fallback pass) and
-    # carried every published message.
-    assert world.spine.armed and world.spine.stats.dearms == 0
-    assert world.spine.stats.rows == columnar["stats"]["messages_published"]
-    for key in ("stats", "rows", "sim_runtime", "now"):
-        assert columnar[key] == fast[key] == slow[key], key
-    assert len(columnar["rows"]) > 0
-
-
-def test_columnar_telemetry_is_bit_identical_to_fast_lane():
-    fast, _ = _lane_campaign("fast", telemetry=True)
-    columnar, world = _lane_campaign("columnar", telemetry=True)
-    assert world.spine.armed  # telemetry alone must not de-arm
-    for key in ("stats", "rows", "hists", "gauges", "begins", "hops"):
-        assert columnar[key] == fast[key], key
-    assert len(columnar["hops"]) == columnar["stats"]["messages_published"]
+# ------------------------------------------------ de-armed spine path
 
 
 def test_dearmed_columnar_payload_stream_is_byte_identical():
-    fast, _ = _lane_campaign("fast", subscribe=True)
-    columnar, world = _lane_campaign("columnar", subscribe=True)
+    slow, _ = _hmmer_campaign("slow", subscribe=True)
+    explicit, _ = _hmmer_campaign("event", subscribe=True)
+    columnar, world = _hmmer_campaign("spine", subscribe=True)
     # The subscriber de-armed the spine pre-run: this run exercised the
     # per-message ColumnarMessage fallback end to end.
     assert world.spine.stats.dearms == 1
     assert world.spine.stats.rows == 0
-    assert columnar["seen"] == fast["seen"]
+    assert columnar["seen"] == slow["seen"]
     assert len(columnar["seen"]) > 0
-    for key in ("stats", "rows", "sim_runtime", "now"):
-        assert columnar[key] == fast[key], key
-
-
-# --------------------------------------------------------------- chaos
-
-
-def _chaos_campaign(*, columnar):
-    plan = FaultPlan((
-        # Mid-burst compute-daemon crash: messages queued behind the
-        # crash spill and replay; a batch in flight at the L1 crash
-        # below is dropped with per-row attribution.
-        DaemonCrash("nid00001", after_messages=20, down_for=0.4),
-        DaemonCrash("l1", after_messages=50, down_for=0.5),
-        LinkPartition("nid00002", "head", at=0.2, duration=0.3),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    world = World(WorldConfig(
-        seed=7, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=True, columnar=columnar,
-        faults=plan, retry=RetryPolicy(), standby_l1=True,
-    ))
-    if columnar:
-        # Guard discipline: a faulted world must never arm the spine.
-        assert world.spine is not None and not world.spine.armed
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=4, iterations=8, block_size=2**20,
-        collective=False, sync_per_iteration=False,
-    )
-    result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(
-            spill=True, fast_lane=True, columnar=columnar,
-        ),
-        inter_job_gap_s=0.0,
-    )
-    rows = [dict(obj) for obj in world.query_job(result.job_id)]
-    return result, rows, world
-
-
-def test_chaos_campaign_reconciles_and_matches_fast_lane():
-    result_fast, rows_fast, _ = _chaos_campaign(columnar=False)
-    result_col, rows_col, world = _chaos_campaign(columnar=True)
-
-    health = result_col.health
-    assert health.published > 0
-    assert health.verify()  # zero unaccounted events
-    assert health.in_flight == 0
-    assert len(world.fault_injector.applied) >= 6
-    # The run hit the interesting paths: spill/replay happened, and at
-    # least one message was only partially delivered when a daemon died.
-    stats_col = dataclasses.asdict(result_col.connector.stats)
-    assert stats_col["events_spilled"] > 0
-    assert stats_col["events_replayed"] > 0
-    # Lane identity under chaos: same counters, same rows.
-    assert stats_col == dataclasses.asdict(result_fast.connector.stats)
-    assert rows_col == rows_fast
-    assert result_col.runtime_s == result_fast.runtime_s
+    for key in _PLAIN:
+        assert columnar[key] == slow[key], key
+    # De-arming by subscription and by an explicit dearm() run the same
+    # simulation, down to the daemons' counters.
+    for key in (*_PLAIN, "seen", "daemons", "stored"):
+        assert columnar[key] == explicit[key], key

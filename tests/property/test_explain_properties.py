@@ -7,8 +7,8 @@ perturbs nothing: every observable surface (the payload stream through
 L2, the DSOS rows, the application timings, the simulation clock, the
 connector counters and the telemetry report) captured *after* running
 :func:`~repro.diagnosis.explain.explain_job` equals the same surfaces
-from a twin campaign that never imported the explainer — on all three
-lanes (slow, fast, columnar).
+from a twin campaign that never imported the explainer — on both
+lanes (slow, fast).
 """
 
 import dataclasses
@@ -22,16 +22,15 @@ from repro.experiments import World, WorldConfig, run_job
 from repro.experiments.world import STREAM_TAG
 
 LANES = [
-    pytest.param(False, False, id="slow"),
-    pytest.param(True, False, id="fast-lane"),
-    pytest.param(True, True, id="columnar"),
+    pytest.param(False, id="slow"),
+    pytest.param(True, id="fast-lane"),
 ]
 
 
-def _campaign(fast: bool, columnar: bool, *, explain: bool):
+def _campaign(fast: bool, *, explain: bool):
     world = World(WorldConfig(
         seed=20260806, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar,
+        fast_lane=fast,
         diagnosis=DiagnosisConfig(eval_period_s=0.05, window_s=0.25,
                                   for_duration_s=0.1),
     ))
@@ -66,10 +65,10 @@ def _campaign(fast: bool, columnar: bool, *, explain: bool):
     }
 
 
-@pytest.mark.parametrize("fast,columnar", LANES)
-def test_explained_campaign_is_byte_identical_to_unexplained(fast, columnar):
-    plain = _campaign(fast, columnar, explain=False)
-    explained = _campaign(fast, columnar, explain=True)
+@pytest.mark.parametrize("fast", LANES)
+def test_explained_campaign_is_byte_identical_to_unexplained(fast):
+    plain = _campaign(fast, explain=False)
+    explained = _campaign(fast, explain=True)
 
     # The explainer genuinely ran — this is not a vacuous comparison.
     report = explained["explain_report"]
@@ -85,6 +84,6 @@ def test_explained_campaign_is_byte_identical_to_unexplained(fast, columnar):
 
 
 def test_explain_report_is_deterministic_across_reruns():
-    a = _campaign(True, False, explain=True)["explain_report"]
-    b = _campaign(True, False, explain=True)["explain_report"]
+    a = _campaign(True, explain=True)["explain_report"]
+    b = _campaign(True, explain=True)["explain_report"]
     assert a.to_json() == b.to_json()

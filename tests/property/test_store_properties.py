@@ -3,13 +3,13 @@
 Two standing guarantees from the replication issue:
 
 * **Legacy purity** — ``dsos_shards=1, dsos_replication=1`` (the
-  default) is *byte-identical* to the pre-replication store on all
-  three lanes: same connector stats, same rows, same simulated clock,
-  same telemetry.  Passing the topology knobs explicitly at their
+  default) is *byte-identical* to the pre-replication store on every
+  path (slow lane, event-driven fast lane, express spine): same
+  connector stats, same rows, same simulated clock, same telemetry.  Passing the topology knobs explicitly at their
   defaults must change nothing.
 * **Deterministic convergence** — the crash drill replays
-  bit-identically from one seed, the columnar lane matches the fast
-  lane under the drill, and arbitrary crash/recover/write interleavings
+  bit-identically from one seed, the fast lane's spine stays out of
+  the drill, and arbitrary crash/recover/write interleavings
   converge once every replica is recovered and repaired: zero
   under-replication always, a complete census whenever no WAL tail
   tore (a torn tail may destroy an object whose *every* acking
@@ -38,16 +38,19 @@ from repro.ldms.resilience import RetryPolicy
 
 
 def _lane_campaign(lane, **dsos_kw):
+    """``lane``: ``slow``, ``fast`` (spine armed) or ``event`` (the fast
+    lane with the spine de-armed before the job)."""
     fast = lane != "slow"
-    columnar = lane == "columnar"
     world = World(WorldConfig(
         seed=424, quiet=True, n_compute_nodes=2, telemetry=True,
-        fast_lane=fast, columnar=columnar, **dsos_kw,
+        fast_lane=fast, **dsos_kw,
     ))
+    if lane == "event":
+        world.spine.dearm()
     app = Hmmer(ranks_per_node=4, n_families=30)
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast, columnar=columnar),
+        connector_config=ConnectorConfig(fast_lane=fast),
     )
     t = world.telemetry
     return {
@@ -69,7 +72,7 @@ def test_default_topology_knobs_change_nothing_on_any_lane():
         dsos_shards=1, dsos_replication=1, dsos_write_quorum=None,
         dsos_repair=True,
     )
-    for lane in ("slow", "fast", "columnar"):
+    for lane in ("slow", "event", "fast"):
         baseline = _lane_campaign(lane)
         knobbed = _lane_campaign(lane, **explicit)
         assert knobbed == baseline, lane
@@ -85,21 +88,22 @@ _DRILL = FaultPlan((
 ))
 
 
-def _drill_campaign(*, seed, columnar=False):
+def _drill_campaign(*, seed, dearm=False):
     world = World(WorldConfig(
         seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=True, columnar=columnar, faults=_DRILL,
+        fast_lane=True, faults=_DRILL,
         retry=RetryPolicy(), standby_l1=True,
         dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
     ))
+    if dearm:
+        world.spine.dearm()
     app = MpiIoTest(
         n_nodes=2, ranks_per_node=4, iterations=8, block_size=2**20,
         collective=False, sync_per_iteration=False,
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(
-            spill=True, fast_lane=True, columnar=columnar),
+        connector_config=ConnectorConfig(spill=True, fast_lane=True),
         inter_job_gap_s=0.0,
     )
     return world, result
@@ -116,11 +120,12 @@ def test_same_seed_drill_replays_bit_identically():
 
 
 def test_columnar_drill_matches_fast_lane():
-    world_fast, result_fast = _drill_campaign(seed=5)
-    world_col, result_col = _drill_campaign(seed=5, columnar=True)
+    world_fast, result_fast = _drill_campaign(seed=5, dearm=True)
+    world_col, result_col = _drill_campaign(seed=5)
     # A sharded cluster never arms the express spine (quorum acks are
-    # not virtualizable), so the columnar lane is the fast lane here.
-    assert world_col.spine is None or not world_col.spine.armed
+    # not virtualizable), so the fast lane runs event-driven here —
+    # exactly as with the spine stood down by hand.
+    assert world_col.spine is not None and not world_col.spine.armed
     assert result_col.health.to_dict() == result_fast.health.to_dict()
     assert result_col.health.verify()
     assert (world_col.dsos.cluster.stats_snapshot()

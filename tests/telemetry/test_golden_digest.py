@@ -33,10 +33,8 @@ PLANS = {
 GOLDEN = {
     ("chaos", "slow"): "1eb489718af64438ba3a13529960d093d58b777843a7c41a16bab9a82027577b",
     ("chaos", "fast"): "540e22fe452afe9ee0a92b3cb4a1955dd3e64ec17d01e2986beda73715fe81b9",
-    ("chaos", "columnar"): "540e22fe452afe9ee0a92b3cb4a1955dd3e64ec17d01e2986beda73715fe81b9",
     ("explain", "slow"): "56b2ef493f5daa36008ae5d4ee4ddae4680bf007e1c3fed6e601056e20309cfc",
     ("explain", "fast"): "dcb464bab3ca3c7c6034e80d46315199b85514b1431032ee132a28b0e9fc5b87",
-    ("explain", "columnar"): "dcb464bab3ca3c7c6034e80d46315199b85514b1431032ee132a28b0e9fc5b87",
 }
 
 

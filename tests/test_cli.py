@@ -242,7 +242,7 @@ def test_repro_cli_explain_json(capsys):
 def test_repro_cli_explain_check(capsys):
     assert repro_main(["explain", "--check"]) == 0
     out = capsys.readouterr().out
-    assert "OK[slow]" in out and "OK[columnar]" in out
+    assert "OK[slow]" in out and "OK[fast]" in out
     assert "OK: every fault class classified" in out
 
 
@@ -266,10 +266,13 @@ def test_repro_cli_explain_unknown_job_is_usage_error(capsys):
 
 
 def test_repro_cli_explain_columnar_requires_fast_lane(capsys):
+    """``--columnar`` is gone: the columnar path is the fast lane, the
+    default, so the flag is a usage error (``_FOREIGN_FLAG_ARGVS``
+    covers it on every command that once took it)."""
     with pytest.raises(SystemExit) as exc:
         repro_main(["explain", "--columnar", "--no-fast-lane"])
     assert exc.value.code == 2
-    assert "--columnar requires the fast lane" in capsys.readouterr().err
+    assert "unrecognized arguments: --columnar" in capsys.readouterr().err
 
 
 def test_repro_cli_profile(capsys):
@@ -603,7 +606,7 @@ def test_repro_cli_forensics_check_ok(capsys):
     assert repro_main(["forensics", "--capture", "--check"]) == 0
     out = capsys.readouterr().out
     assert "OK[slow]" in out
-    assert "OK[columnar]" in out
+    assert "OK[fast]" in out
     assert "OK: every fault class matched a bundle naming its signal" in out
 
 
@@ -627,7 +630,8 @@ def test_repro_cli_forensics_check_fails_on_unmatched_class(
 # ------------------------------------------------------- subcommand parser
 
 #: Each command declares only the flags it reads: these argvs pass a
-#: flag some other command owns (or a flag before the command).
+#: flag some other command owns, a flag no command owns any more (the
+#: retired ``--columnar``), or a flag before the command.
 _FOREIGN_FLAG_ARGVS = [
     ["fig7", "--drill"],
     ["diagnose", "--topology"],
@@ -635,6 +639,12 @@ _FOREIGN_FLAG_ARGVS = [
     ["profile", "--check"],
     ["fleet", "--seed", "3"],
     ["--seed", "3", "chaos"],
+    ["chaos", "--columnar"],
+    ["chaos", "--columnar", "--no-fast-lane"],
+    ["chaos", "--seed", "3", "--seeds", "3", "--check", "--columnar"],
+    ["explain", "--columnar", "--no-fast-lane"],
+    ["store", "--drill", "--check", "--columnar"],
+    ["forensics", "--columnar"],
 ]
 
 
@@ -718,7 +728,7 @@ def test_repro_cli_store_modes_and_lane_flags_are_usage_errors(capsys):
         (["store", "--topology", "--drill"],
          "repro store: --topology and --drill are mutually exclusive"),
         (["chaos", "--columnar", "--no-fast-lane"],
-         "repro chaos: --columnar requires the fast lane"),
+         "unrecognized arguments: --columnar"),
     ):
         with pytest.raises(SystemExit) as exc:
             repro_main(argv)
