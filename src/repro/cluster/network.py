@@ -6,6 +6,10 @@ serialized per link), over which point-to-point transfers pick the
 shortest path and charge propagation latency per hop plus serialization
 on every traversed link.  Intra-node transfers are free.
 
+The graph is a plain adjacency dict ``{node: {peer: Link}}`` and routes
+are found by breadth-first search (fewest hops): the fabrics built here
+are stars and chains, where every pair has exactly one route.
+
 The topology used by :class:`~repro.cluster.cluster.Cluster` is a
 two-level star (compute nodes → head node → remote analysis cluster),
 which is exactly the multi-hop LDMS aggregation route of the paper's
@@ -15,9 +19,8 @@ head node, a second-level aggregator on Shirley.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.sim import Environment, Event, Resource
 
@@ -140,7 +143,8 @@ class Network:
 
     def __init__(self, env: Environment):
         self.env = env
-        self.graph = nx.Graph()
+        #: node -> {peer: Link}; an undirected edge appears under both ends.
+        self._adj: dict[str, dict[str, Link]] = {}
         # Optional shared-fabric congestion: a LoadProcess-like object
         # whose factor(t) multiplies serialization times ("network
         # congestion" is one of the paper's named variability sources).
@@ -166,7 +170,7 @@ class Network:
         )
 
     def add_node(self, name: str) -> None:
-        self.graph.add_node(name)
+        self._adj.setdefault(name, {})
         self._route_cache.clear()
 
     def add_link(
@@ -179,7 +183,8 @@ class Network:
     ) -> Link:
         """Join endpoints ``a`` and ``b`` with a new link."""
         link = Link(self.env, latency_s, bandwidth_bps, channels)
-        self.graph.add_edge(a, b, link=link)
+        self._adj.setdefault(a, {})[b] = link
+        self._adj.setdefault(b, {})[a] = link
         self._route_cache.clear()
         return link
 
@@ -188,7 +193,7 @@ class Network:
     def link_between(self, a: str, b: str) -> Link:
         """The direct link joining ``a`` and ``b`` (a single edge)."""
         try:
-            return self.graph.edges[a, b]["link"]
+            return self._adj[a][b]
         except KeyError as exc:
             raise ValueError(f"no direct link {a!r} -- {b!r}") from exc
 
@@ -211,19 +216,32 @@ class Network:
         self.link_between(a, b).set_degrade(1.0)
 
     def path(self, src: str, dst: str) -> list[str]:
-        """Node sequence of the route used for ``src`` → ``dst``."""
-        try:
-            return nx.shortest_path(self.graph, src, dst)
-        except (nx.NodeNotFound, nx.NetworkXNoPath) as exc:
-            raise ValueError(f"no route {src!r} -> {dst!r}") from exc
+        """Node sequence of the route used for ``src`` → ``dst``: a
+        fewest-hop path by breadth-first search."""
+        adj = self._adj
+        if src not in adj:
+            raise ValueError(f"no route {src!r} -> {dst!r}")
+        parent = {src: None}
+        frontier = deque((src,))
+        while frontier and dst not in parent:
+            node = frontier.popleft()
+            for peer in adj[node]:
+                if peer not in parent:
+                    parent[peer] = node
+                    frontier.append(peer)
+        if dst not in parent:
+            raise ValueError(f"no route {src!r} -> {dst!r}")
+        nodes = [dst]
+        while nodes[-1] != src:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
+        return nodes
 
     def links_on_path(self, src: str, dst: str) -> list[Link]:
         links = self._route_cache.get((src, dst))
         if links is None:
             nodes = self.path(src, dst)
-            links = [
-                self.graph.edges[u, v]["link"] for u, v in zip(nodes, nodes[1:])
-            ]
+            links = [self._adj[u][v] for u, v in zip(nodes, nodes[1:])]
             self._route_cache[(src, dst)] = links
         return links
 

@@ -367,6 +367,13 @@ class DsosCluster:
         ]
         if not peers:
             return []
+        # Converged shard: copy counts are exact over live replicas, so
+        # when every object sits on all of them or on none, no live peer
+        # holds a seq ``d`` lacks — skip building the union (quorum reads
+        # call this on every replica of every shard they touch).
+        live = len(peers) + 1
+        if all(not n or n == live for n in self._copy_hist[d.shard_id]):
+            return []
         union: set[int] = set()
         for p in peers:
             union |= p.applied

@@ -11,11 +11,11 @@ duration and the system metric (e.g. the file-system load factor).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _stats
 
+from repro.core.overhead import regularized_beta
 from repro.webservices.dataframe import DataFrame, DataFrameError
 
-__all__ = ["correlate_durations_with_metric", "bucket_series"]
+__all__ = ["correlate_durations_with_metric", "bucket_series", "pearsonr"]
 
 
 def bucket_series(
@@ -35,6 +35,33 @@ def bucket_series(
     with np.errstate(invalid="ignore"):
         means = sums / counts
     return means
+
+
+def pearsonr(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Pearson ``r`` and its two-sided p-value for two non-constant series.
+
+    ``r`` follows ``scipy.stats.pearsonr`` (1.17) step for step, so it
+    is bit-equal: centre on the mean, scale each norm by the largest
+    deviation (``norm`` with ``axis=``, as scipy calls it — the axis-less
+    form sums differently), dot (``np.dot`` runs ``vecdot``'s inner loop
+    on 1-D float64), clip to [-1, 1].
+    Under the null ``(r + 1) / 2`` is Beta(n/2 − 1, n/2 − 1), so the
+    p-value is ``2 · I_{1−x}(a, a)`` at ``x = (|r| + 1) / 2``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size or x.size < 3:
+        raise ValueError("need two series of equal length >= 3")
+    xm = x - x.mean()
+    ym = y - y.mean()
+    xmax = np.abs(xm).max()
+    ymax = np.abs(ym).max()
+    normxm = xmax * np.linalg.norm(xm / xmax, axis=-1)
+    normym = ymax * np.linalg.norm(ym / ymax, axis=-1)
+    r = float(np.clip(np.dot(xm / normxm, ym / normym), -1.0, 1.0))
+    a = x.size / 2.0 - 1.0
+    half = (abs(r) + 1.0) / 2.0
+    return r, 2.0 * regularized_beta(a, a, 1.0 - half)
 
 
 def correlate_durations_with_metric(
@@ -89,7 +116,7 @@ def correlate_durations_with_metric(
     if degenerate:
         r, p = 0.0, 1.0  # a constant series carries no correlation
     else:
-        r, p = _stats.pearsonr(x, y)
+        r, p = pearsonr(x, y)
     return {
         "pearson_r": float(r),
         "p_value": float(p),

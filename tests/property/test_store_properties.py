@@ -238,3 +238,74 @@ def test_census_converges_after_any_interleaving(ops):
             assert copies in (0, c.replication), (shard, seq, copies)
             zero_copy += 1 if copies == 0 else 0
     assert zero_copy == census.lost
+
+
+# ------------------------ converged-shard short circuit vs full union
+
+
+def _full_union_missing(cluster, daemon):
+    """What repair must pull, by the reference computation: the union of
+    every live peer's applied set minus the daemon's own."""
+    peers = [r for r in cluster.replica_sets[daemon.shard_id]
+             if r is not daemon and r.alive]
+    union = set().union(*(p.applied for p in peers)) if peers else set()
+    return sorted(union - daemon.applied)
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.integers(0, 7)),
+            st.tuples(st.just("crash"), st.integers(0, 5)),
+            st.tuples(st.just("crash_torn"), st.integers(0, 5)),
+            st.tuples(st.just("recover"), st.integers(0, 5)),
+            st.tuples(st.just("repair"), st.integers(0, 5)),
+        ),
+        min_size=1, max_size=50,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_converged_shard_short_circuit_matches_full_union(ops):
+    # 2 shards x 3 replicas: a shard can hold objects on 1, 2 or 3 of
+    # its live replicas, so "converged" is not just "nothing crashed".
+    schema = Schema(
+        "events",
+        [Attr("job_id", "int"), Attr("timestamp", "float")],
+        {"job_time": ("job_id", "timestamp")},
+    )
+    c = DsosCluster("mini", shards=2, replication=3)
+    c.attach_schema(schema)
+
+    def checked_repair(d):
+        live = sum(1 for r in c.replica_sets[d.shard_id] if r.alive)
+        converged = all(
+            not n or n == live for n in c._copy_hist[d.shard_id]
+        )
+        expected = _full_union_missing(c, d)
+        if converged:
+            assert expected == [], (d.name, dict(c._copy_hist[d.shard_id]))
+        pulled = c.repair_daemon(d)
+        assert [seq for seq, _ in pulled] == expected, d.name
+        return converged
+
+    t = 0
+    for op, arg in ops:
+        if op == "write":
+            t += 1
+            c.insert_replicated("events", {"job_id": arg, "timestamp": float(t)})
+            continue
+        d = c.daemons[arg]
+        if op in ("crash", "crash_torn") and d.alive:
+            c.crash_daemon(d, tear_tail=(op == "crash_torn"), tear_bytes=11)
+        elif op == "recover" and not d.alive:
+            c.recover_daemon(d)
+        elif op == "repair" and d.alive:
+            checked_repair(d)
+    for d in c.daemons:
+        if not d.alive:
+            c.recover_daemon(d)
+    for d in c.daemons:
+        checked_repair(d)
+    # After one full pass every shard is converged: the second pass is
+    # all short circuits, and each still agrees with the full union.
+    assert all(checked_repair(d) for d in c.daemons)
