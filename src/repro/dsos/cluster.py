@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.dsos.daemon import Dsosd, StoreDownError
-from repro.dsos.journal import WalRecovery
+from repro.dsos.journal import WalRecord, WalRecovery
 from repro.dsos.query import Query
 from repro.dsos.schema import Schema, SchemaError
 
@@ -276,9 +276,12 @@ class DsosCluster:
         seq = self._next_seq[shard]
         self._next_seq[shard] = seq + 1
         self._seq_schema[shard].append(schema_name)
+        # Encode the WAL record once; every live replica appends it.
+        frame = WalRecord.make(seq, schema_name, obj, trace_id).encode()
         for replica in live:
             replica.insert_seq(
-                schema_name, seq, obj, trace_id=trace_id, validate=False
+                schema_name, seq, obj, trace_id=trace_id, validate=False,
+                frame=frame,
             )
         acks = len(live)
         self._copies[shard][seq] = acks

@@ -160,12 +160,15 @@ class Dsosd:
         *,
         trace_id: str = "",
         validate: bool = True,
+        frame: bytes | None = None,
     ) -> None:
         """Replicated apply: WAL first, then the in-memory shard.
 
         The WAL append precedes visibility, so a crash between the two
         can only lose an object the log already holds — replay puts it
-        back.
+        back.  ``frame`` is the record's WAL bytes when the caller has
+        already encoded them (one encoding shared by every replica);
+        without it the record is encoded here.
         """
         if not self.alive:
             raise StoreDownError(f"daemon {self.name} is down")
@@ -176,7 +179,10 @@ class Dsosd:
         shard = self._shard(schema_name)
         if validate:
             shard.schema.validate(obj)
-        self.wal.append(seq, schema_name, obj, trace_id)
+        if frame is None:
+            self.wal.append(seq, schema_name, obj, trace_id)
+        else:
+            self.wal.append_frame(frame)
         shard.add(obj)
         self.applied.add(seq)
         self._by_seq[seq] = (schema_name, obj, trace_id)

@@ -265,9 +265,15 @@ class StoreWal:
     def append(self, seq: int, schema: str, obj: dict,
                trace_id: str = "") -> WalRecord:
         record = WalRecord.make(seq, schema, obj, trace_id)
-        self._buf += record.encode()
-        self.records_appended += 1
+        self.append_frame(record.encode())
         return record
+
+    def append_frame(self, frame: bytes) -> None:
+        """Append one already-encoded record (:meth:`WalRecord.encode`):
+        a replicated write encodes once and every replica appends the
+        same bytes."""
+        self._buf += frame
+        self.records_appended += 1
 
     def tear_tail(self, drop_bytes: int = 7) -> None:
         """Simulate a torn write: the last ``drop_bytes`` never hit disk."""

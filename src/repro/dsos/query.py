@@ -19,9 +19,8 @@ the primary restarted with a torn WAL.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 from operator import itemgetter
 
 __all__ = ["Query", "QueryResult", "QueryStats"]
@@ -158,15 +157,18 @@ class Query:
                         f"({', '.join(r.name for r in replicas)} all down)"
                     )
                 shard_results.append(self._scan_shard(primary, stats))
-        if len(shard_results) == 1:
+        streams = [pairs for pairs in shard_results if pairs]
+        if len(streams) == 1:
             # One stream is already in key order: nothing to merge.
-            pairs = shard_results[0][: self._limit]
+            pairs = streams[0][: self._limit]
         else:
-            # heapq.merge breaks key ties by stream order, so equal keys
-            # still come from the earlier shard first.
-            pairs = islice(
-                heapq.merge(*shard_results, key=itemgetter(0)), self._limit
-            )
+            # Timsort finds each stream as a sorted run and merges the
+            # runs in C; being stable, it breaks key ties by stream
+            # order (equal keys come from the earlier shard first),
+            # exactly as heapq.merge does.
+            pairs = sorted(
+                chain.from_iterable(streams), key=itemgetter(0)
+            )[: self._limit]
         rows = list(map(itemgetter(1), pairs))
         stats.rows_returned = len(rows)
         return QueryResult(rows=rows, stats=stats)

@@ -59,7 +59,8 @@ _AGG_FUNCS = {
 
 
 class DataFrame:
-    """Immutable-ish columnar table."""
+    """Immutable columnar table: every column array is read-only, so one
+    frame can be shared by several readers (e.g. dashboard panels)."""
 
     def __init__(self, columns: dict):
         if not columns:
@@ -67,7 +68,9 @@ class DataFrame:
         self._cols: dict[str, np.ndarray] = {}
         length = None
         for name, values in columns.items():
-            arr = np.asarray(values)
+            # Freeze a view: an array the caller handed in stays writable.
+            arr = np.asarray(values).view()
+            arr.flags.writeable = False
             if arr.ndim != 1:
                 raise DataFrameError(f"column {name!r} must be 1-d, got shape {arr.shape}")
             if length is None:
@@ -103,7 +106,7 @@ class DataFrame:
         return list(self._cols)
 
     def col(self, name: str) -> np.ndarray:
-        """The column's array (a view; do not mutate)."""
+        """The column's (read-only) array."""
         try:
             return self._cols[name]
         except KeyError:
@@ -147,14 +150,18 @@ class DataFrame:
         return DataFrame(out)
 
     def sort_by(self, *names: str, reverse: bool = False) -> "DataFrame":
-        """Stable multi-key sort (last key least significant... no:
-        first name is the primary key, as in pandas)."""
-        order = np.arange(self._length)
+        """Stable multi-key sort; the first name is the primary key, as in
+        pandas.  ``reverse`` sorts descending and, like
+        ``sorted(..., reverse=True)``, keeps equal keys in row order."""
         # lexsort's last key is primary, so feed keys reversed.
         keys = [self.col(n) for n in reversed(names)]
-        order = np.lexsort(keys)
         if reverse:
-            order = order[::-1]
+            # Sort the rows back to front stably, then flip the result:
+            # equal keys come out front to back.
+            last = self._length - 1
+            order = (last - np.lexsort([k[::-1] for k in keys]))[::-1]
+        else:
+            order = np.lexsort(keys)
         return DataFrame({n: a[order] for n, a in self._cols.items()})
 
     def unique(self, name: str) -> np.ndarray:

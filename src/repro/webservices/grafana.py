@@ -78,10 +78,23 @@ class Dashboard:
         self.panels.append(panel)
 
     def render(self, source: DsosDataSource) -> list[PanelData]:
-        """Execute every panel's query + analysis."""
+        """Execute every panel's query + analysis, in panel order.
+
+        Each distinct query spec is run once per render and its frame
+        is handed to every panel that shares the spec (frames are
+        read-only, so one analysis cannot disturb the next).  A frame
+        is released right after the last panel that reads it.
+        """
+        specs = [_spec_key(panel.query) for panel in self.panels]
+        last_reader = {spec: i for i, spec in enumerate(specs)}
+        frames: dict = {}
         out = []
-        for panel in self.panels:
-            df = source.query(**panel.query)
+        for i, (panel, spec) in enumerate(zip(self.panels, specs)):
+            df = frames.get(spec)
+            if df is None:
+                df = frames[spec] = source.query(**panel.query)
+            if last_reader[spec] == i:
+                del frames[spec]
             payload = panel.analysis(df)
             out.append(
                 PanelData(
@@ -92,6 +105,13 @@ class Dashboard:
                 )
             )
         return out
+
+
+def _spec_key(query: dict) -> str:
+    """Identity of a panel query spec: equal specs (in any keyword
+    order) share one key.  ``repr`` keeps ``1``, ``1.0`` and ``True``
+    apart, so specs merely equal under ``==`` never share a frame."""
+    return repr(sorted(query.items()))
 
 
 def _finite(value) -> bool:

@@ -120,6 +120,41 @@ def test_dataframe_sort_is_permutation(records):
     assert list(out["v"]) == sorted(df["v"].tolist())
 
 
+#: Small domains, so ties on every key (and on key tuples) are common.
+_tied_records = st.lists(
+    st.fixed_dictionaries(
+        {
+            "k": st.integers(0, 3),
+            "v": st.sampled_from([-1.5, -0.0, 0.0, 2.25, 1e300]),
+            "s": st.sampled_from(["read", "write", "open"]),
+        }
+    ),
+    min_size=0,
+    max_size=60,
+)
+
+
+@given(
+    records=_tied_records,
+    names=st.lists(st.sampled_from(["k", "v", "s"]), min_size=1, max_size=3,
+                   unique=True),
+    reverse=st.booleans(),
+)
+def test_dataframe_sort_by_matches_stable_sorted(records, names, reverse):
+    # ``sorted`` is stable in both directions: equal keys keep row order.
+    rows = [dict(r, row=i) for i, r in enumerate(records)]
+    df = DataFrame.from_records(rows) if rows else DataFrame(
+        {"k": [], "v": [], "s": [], "row": []}
+    )
+    got = df.sort_by(*names, reverse=reverse)["row"].tolist()
+    want = sorted(
+        range(len(rows)),
+        key=lambda i: tuple(rows[i][n] for n in names),
+        reverse=reverse,
+    )
+    assert got == want
+
+
 @given(records=_records)
 def test_dataframe_roundtrip_records(records):
     df = DataFrame.from_records(records)

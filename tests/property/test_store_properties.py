@@ -18,7 +18,9 @@ Two standing guarantees from the replication issue:
 
 Plus a Hypothesis pin on the WAL discipline itself: whatever tail a
 torn write loses, recovery yields an exact prefix of what was appended
-and never resurrects bytes past the tear.
+and never resurrects bytes past the tear.  And one on the replicated
+write path: encoding each record once and appending the same frame on
+every replica leaves every WAL byte-identical to encoding per replica.
 """
 
 import dataclasses
@@ -309,3 +311,77 @@ def test_converged_shard_short_circuit_matches_full_union(ops):
     # After one full pass every shard is converged: the second pass is
     # all short circuits, and each still agrees with the full union.
     assert all(checked_repair(d) for d in c.daemons)
+
+
+# ------------------------- replicated writes: one encoding per write
+
+
+def _encode_per_replica(cluster):
+    """Make every replica ignore the shared frame and encode the record
+    itself (``WalRecord.make`` per replica): the reference path."""
+    for daemon in cluster.daemons:
+        def insert_seq(*args, frame=None, _insert=daemon.insert_seq, **kw):
+            return _insert(*args, **kw)
+        daemon.insert_seq = insert_seq
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("write"), st.integers(0, 7)),
+            st.tuples(st.just("crash"), st.integers(0, 5)),
+            st.tuples(st.just("crash_torn"), st.integers(0, 5)),
+            st.tuples(st.just("recover"), st.integers(0, 5)),
+            st.tuples(st.just("repair"), st.integers(0, 5)),
+        ),
+        min_size=1, max_size=50,
+    ),
+    tear_bytes=st.integers(1, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_wal_frame_is_byte_identical_to_per_replica_encoding(
+        ops, tear_bytes):
+    schema = Schema(
+        "events",
+        [Attr("job_id", "int"), Attr("timestamp", "float"),
+         Attr("op", "string")],
+        {"job_time": ("job_id", "timestamp")},
+    )
+    shared, reference = (DsosCluster("mini", shards=2, replication=3)
+                         for _ in range(2))
+    _encode_per_replica(reference)
+    for c in (shared, reference):
+        c.attach_schema(schema)
+
+    def wals(c):
+        return [(bytes(d.wal._buf), d.wal.records_appended, d.alive)
+                for d in c.daemons]
+
+    t = 0
+    for op, arg in ops:
+        if op == "write":
+            t += 1
+            obj = {"job_id": arg, "timestamp": 0.1 * t,
+                   "op": ("write", "réad", "a|b")[t % 3]}
+            acks = [c.insert_replicated("events", dict(obj),
+                                        trace_id=f"1:{arg}:{t}")
+                    for c in (shared, reference)]
+            assert acks[0] == acks[1]
+        else:
+            for c in (shared, reference):
+                d = c.daemons[arg]
+                if op in ("crash", "crash_torn") and d.alive:
+                    c.crash_daemon(d, tear_tail=(op == "crash_torn"),
+                                   tear_bytes=tear_bytes)
+                elif op == "recover" and not d.alive:
+                    c.recover_daemon(d)
+                elif op == "repair" and d.alive:
+                    c.repair_daemon(d)
+        assert wals(shared) == wals(reference), (op, arg)
+    for c in (shared, reference):
+        for d in c.daemons:
+            if not d.alive:
+                c.recover_daemon(d)
+        c.repair_all()
+    assert wals(shared) == wals(reference)
+    assert shared.census() == reference.census()
