@@ -20,7 +20,7 @@ from repro.diagnosis.explain import explain_campaign
 
 
 def main() -> None:
-    campaign = explain_campaign(seed=42, fast=False)
+    campaign = explain_campaign(seed=42, lane="slow")
     epoch = campaign.epoch
 
     # What actually went wrong, and when — the ground truth.
@@ -50,7 +50,7 @@ def main() -> None:
     print(campaign.score.render_text())
 
     # Clean control: the same campaign with no faults must say healthy.
-    clean = explain_campaign(seed=42, fast=False, faults=None)
+    clean = explain_campaign(seed=42, lane="slow", faults=None)
     print(f"\nclean-run control: primary verdict "
           f"{clean.report.primary.cls!r} "
           f"({'OK' if clean.report.healthy else 'NOT HEALTHY'})")

@@ -34,7 +34,7 @@ from repro.webservices.grafana import render_ascii
 
 def main() -> None:
     # 1. The faulted run: chaos plan + diagnosis + flight recorder.
-    chaos = capture_campaign(seed=42, fast=True)
+    chaos = capture_campaign(seed=42, lane="fast")
     recorder = chaos.recorder
     print("== flight recorder after the chaos campaign ==")
     for name, ring in recorder.rings.items():
@@ -65,7 +65,7 @@ def main() -> None:
           .splitlines()[0])  # the panel title line
 
     # 3. The clean control run, snapshotted, and the diff.
-    clean = capture_campaign(seed=42, fast=True, faults=None,
+    clean = capture_campaign(seed=42, lane="fast", faults=None,
                              snapshot_id="clean-0")
     diff = diff_bundles(first, clean.find("clean-0"))
     print("\n" + render_ascii(diff_panel(diff), width=100))

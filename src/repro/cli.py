@@ -27,7 +27,7 @@ owns is a usage error.  Commands and their flags:
     trace      [--trace-id ID | --slowest N | --drops] [--head-rate R]
                [--tail-latency S] [--seed S] [--ranks-per-node N]
                [--fail-after N] [--no-fast-lane] [--json] [--check]
-    bench      [--quick] [--seed S] [--out PATH] [--json] [--check]
+    bench      [--quick] [--check]
     fleet      [--scan | --export | --catalog] [--no-fast-lane]
                [--json] [--check]
     forensics  [--capture | --show ID | --diff A B] [--seed S]
@@ -250,6 +250,32 @@ def _cmd_report(args) -> None:
 # -- the pipeline's own observability ------------------------------------------
 
 
+def _small_campaign(args, arm=None, **fields):
+    """The ``telemetry``/``profile`` job; returns ``(world, result)``.
+
+    A quiet 4-node telemetry world (plus the caller's ``WorldConfig``
+    ``fields``) runs one 2-node MPI-IO-test job with the default
+    connector; ``arm(world)``, when given, runs between building the
+    world and starting the job.
+    """
+    from repro.apps import MpiIoTest
+    from repro.core import ConnectorConfig
+    from repro.experiments import World, WorldConfig, run_job
+
+    world = World(WorldConfig(
+        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
+        **fields,
+    ))
+    if arm is not None:
+        arm(world)
+    app = MpiIoTest(
+        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=4,
+        block_size=2**20, collective=False, sync_per_iteration=False,
+    )
+    return world, run_job(world, app, "nfs",
+                          connector_config=ConnectorConfig())
+
+
 def _cmd_telemetry(args) -> None:
     """Pipeline telemetry: per-stage latency histograms, drop sites, loss
     reconciliation.
@@ -259,16 +285,9 @@ def _cmd_telemetry(args) -> None:
     crashes the L1 aggregator after ``--fail-after`` messages.  With
     ``--check``, exits 1 unless the loss ledger closes exactly.
     """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
     from repro.experiments.world import STREAM_TAG
 
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        forward_queue_depth=args.queue_depth,
-    ))
-    if args.inject_failure:
+    def crash_l1(world):
         # Crash the L1 aggregator mid-run so the report has a
         # daemon-failure drop site to attribute.
         seen = {"n": 0}
@@ -280,11 +299,10 @@ def _cmd_telemetry(args) -> None:
 
         world.fabric.l1.streams.subscribe(STREAM_TAG, trip_wire)
 
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=4,
-        block_size=2**20, collective=False, sync_per_iteration=False,
+    _, result = _small_campaign(
+        args, crash_l1 if args.inject_failure else None,
+        forward_queue_depth=args.queue_depth,
     )
-    result = run_job(world, app, "nfs", connector_config=ConnectorConfig())
     if args.json:
         _print_json(result.health.to_dict())
     else:
@@ -326,7 +344,7 @@ def _cmd_chaos(args) -> None:
         if args.json:
             payloads.append({
                 "seed": seed,
-                **LANES[lane],
+                "fast_lane": LANES[lane],
                 "applied_faults": _fault_rows(world),
                 "duplicates_skipped": duplicates,
                 "health": result.health.to_dict(),
@@ -401,7 +419,7 @@ def _cmd_store(args) -> None:
         _print_json({
             "seed": args.seed,
             "mode": mode,
-            **LANES[lane],
+            "fast_lane": LANES[lane],
             "repair": not args.no_repair,
             "applied_faults": _fault_rows(world),
             "layout": cluster.shard_layout(),
@@ -499,7 +517,7 @@ def _cmd_diagnose(args) -> None:
     if args.json:
         _print_json({
             "seed": args.seed,
-            "fast_lane": LANES[lane]["fast_lane"],
+            "fast_lane": LANES[lane],
             "applied_faults": _fault_rows(world),
             "incidents": [
                 a.to_dict(epoch) for a in world.diagnosis.incidents
@@ -553,7 +571,7 @@ def _cmd_explain(args) -> None:
         score_verdicts,
     )
 
-    fast = not args.no_fast_lane
+    lane = _lane(args)
 
     if args.check:
         ok, lines = check_explain(args.seed)
@@ -562,7 +580,7 @@ def _cmd_explain(args) -> None:
                   "reports byte-stable on the slow and fast lanes")
         return
 
-    campaign = explain_campaign(args.seed, fast=fast)
+    campaign = explain_campaign(args.seed, lane=lane)
     epoch = campaign.epoch
     report = campaign.report
     if args.job is not None and args.job != report.job_id:
@@ -573,12 +591,12 @@ def _cmd_explain(args) -> None:
         report = explain_job(campaign.world, args.job)
     score = score_verdicts(report.verdicts, campaign.applied)
 
-    clean = explain_campaign(args.seed, fast=fast, faults=None)
+    clean = explain_campaign(args.seed, lane=lane, faults=None)
 
     if args.json:
         _print_json({
             "seed": args.seed,
-            "fast_lane": fast,
+            "fast_lane": not args.no_fast_lane,
             "applied_faults": _fault_rows(campaign.world),
             "report": report.to_dict(epoch),
             "score": score.to_dict(),
@@ -605,22 +623,9 @@ def _cmd_profile(args) -> None:
     the components reconcile exactly against the end-to-end totals.
     Exits 1 when they do not.
     """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.experiments.chaos import LANES
     from repro.sim import PipelineProfile
 
-    switches = LANES[_lane(args)]
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        **switches,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=4,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    run_job(world, app, "nfs", connector_config=ConnectorConfig(**switches))
+    world, _ = _small_campaign(args, fast_lane=not args.no_fast_lane)
     profile = PipelineProfile.from_collector(world.telemetry)
     if args.json:
         _print_json(profile.to_dict())
@@ -678,7 +683,7 @@ def _cmd_trace(args) -> None:
     if args.json:
         _print_json({
             "seed": args.seed,
-            "fast_lane": LANES[lane]["fast_lane"],
+            "fast_lane": LANES[lane],
             "registry": registry.to_dict(),
             "rollup": rollup.to_dict(),
             "rollup_reconciles_with_profile": rollup.reconciles_with(profile),
@@ -726,86 +731,51 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    """Tracked pipeline benchmark: slow vs fast lane, one process.
+    """Two-lane pipeline benchmark: slow vs fast lane, one process.
 
-    Writes ``benchmarks/BENCH_pipeline.json`` (or ``--out``).  With
-    ``--json``, prints the result payload as sorted JSON on stdout
-    (diagnostics go to stderr) and writes a dated snapshot under
-    ``benchmarks/results/`` instead of touching the tracked file.  With
-    ``--check``, compares the measured fast/slow speedup against the
-    committed file and exits nonzero on a >25 % regression — the
-    ratio, not the walls, so the check is machine-independent — and
-    likewise fails any lane whose peak RSS regressed >25 % over the
-    committed per-lane peak (skipped where the kernel offers no
-    per-lane watermark reset).
+    Runs the HMMER campaign fresh on each lane and fails unless both
+    reach the identical simulated outcome.  Writes the result to
+    ``benchmarks/BENCH_pipeline.json``; with ``--check``, instead
+    compares the measured fast/slow speedup against that committed
+    file and exits 1 when it fell below 75 % of it — the ratio, not
+    the walls, so the check is machine-independent.  Absolute
+    throughput and peak RSS are gated per workload by ``perfbench/``.
     """
-    from pathlib import Path
-
     from repro.experiments.bench import (
         DEFAULT_RESULT_PATH,
         LANES,
         pipeline_benchmark,
-        snapshot_path,
     )
 
-    result = pipeline_benchmark(quick=args.quick, seed=args.seed)
-    log = sys.stderr if args.json else sys.stdout
-    if args.json:
-        _print_json(result)
-        snap = snapshot_path()
-        snap.parent.mkdir(parents=True, exist_ok=True)
-        snap.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {snap}", file=log)
-    else:
-        print(f"campaign: hmmer families={result['campaign']['n_families']} "
-              f"rpn=8 nodes=2 seed={args.seed} (quick={args.quick})")
-        for lane in LANES:
-            r = result[lane]
-            print(f"  {lane:<8} wall={r['wall_s']:>7.2f}s "
-                  f"events/s={r['events_per_sec']:>8.1f} "
-                  f"engine_events={r['engine_events']} "
-                  f"peak_rss_kib={r['peak_rss_kib']}")
-        spine = result["fast"].get("spine")
-        if spine:
-            print(f"  spine: {spine['record_batches']} first-hop batches, "
-                  f"mean {spine['mean_batch_rows']:.1f} rows "
-                  f"(max {spine['max_batch_rows']}), "
-                  f"{spine['ingest_flushes']} ingest flushes, "
-                  f"{spine['dearms']} de-arms")
-        print(f"  speedup (events/s, fast vs slow): "
-              f"{result['speedup_events_per_sec']:.2f}x")
-        if result["speedup_vs_seed_baseline"]:
-            print(f"  fast vs pre-optimization baseline: "
-                  f"{result['speedup_vs_seed_baseline']:.2f}x")
+    result = pipeline_benchmark(quick=args.quick)
+    campaign = result["campaign"]
+    print(f"campaign: hmmer families={campaign['n_families']} "
+          f"rpn=8 nodes=2 seed={campaign['seed']} (quick={args.quick})")
+    for lane in LANES:
+        r = result[lane]
+        print(f"  {lane:<8} wall={r['wall_s']:>7.2f}s "
+              f"events/s={r['events_per_sec']:>8.1f} "
+              f"engine_events={r['engine_events']}")
+    spine = result["fast"].get("spine")
+    if spine:
+        print(f"  spine: {spine['record_batches']} first-hop batches, "
+              f"mean {spine['mean_batch_rows']:.1f} rows "
+              f"(max {spine['max_batch_rows']}), "
+              f"{spine['ingest_flushes']} ingest flushes, "
+              f"{spine['dearms']} de-arms")
+    key = "speedup_events_per_sec"
+    print(f"  speedup (events/s, fast vs slow): {result[key]:.2f}x")
 
-    committed_path = Path(args.out) if args.out else DEFAULT_RESULT_PATH
     if args.check:
-        committed = json.loads(committed_path.read_text())
-        fails = []
-        key = "speedup_events_per_sec"
-        if result[key] < committed[key] * 0.75:
-            fails.append(f"FAIL: {key} {result[key]:.2f}x regressed "
-                         f"below 75% of committed {committed[key]:.2f}x")
-        for lane in LANES:
-            mine, theirs = result[lane], committed.get(lane)
-            if (
-                theirs is None
-                or not mine.get("peak_rss_resettable")
-                or not theirs.get("peak_rss_resettable")
-            ):
-                continue
-            ceiling = theirs["peak_rss_kib"] * 1.25
-            if mine["peak_rss_kib"] > ceiling:
-                fails.append(f"FAIL: {lane} lane peak RSS "
-                             f"{mine['peak_rss_kib']} KiB regressed >25% "
-                             f"over committed {theirs['peak_rss_kib']} KiB")
-        _conclude(not fails, fails,
-                  "OK: lane speedup and peak RSS within 25% of committed",
-                  file=log)
-    elif not args.json:
-        committed_path.parent.mkdir(parents=True, exist_ok=True)
-        committed_path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {committed_path}")
+        committed = json.loads(DEFAULT_RESULT_PATH.read_text())[key]
+        ok = result[key] >= committed * 0.75
+        _conclude(ok, [] if ok else [
+            f"FAIL: {key} {result[key]:.2f}x regressed below 75% of "
+            f"committed {committed:.2f}x"
+        ], "OK: lane speedup within 25% of committed")
+    else:
+        DEFAULT_RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
+        print(f"wrote {DEFAULT_RESULT_PATH}")
 
 
 def _catalog_failures(catalog) -> list[str]:
@@ -930,10 +900,10 @@ def _cmd_forensics(args) -> None:
     )
 
     mode = _mode(args, ("capture", "show", "diff"), default="capture")
-    fast = not args.no_fast_lane
+    lane = _lane(args)
 
     if mode == "show":
-        cap = capture_campaign(args.seed, fast=fast,
+        cap = capture_campaign(args.seed, lane=lane,
                                fail_after=args.fail_after)
         bundle = cap.find(args.show)
         if bundle is None:
@@ -958,9 +928,9 @@ def _cmd_forensics(args) -> None:
 
     if mode == "diff":
         a_id, b_id = args.diff
-        faulted = capture_campaign(args.seed, fast=fast,
+        faulted = capture_campaign(args.seed, lane=lane,
                                    fail_after=args.fail_after)
-        clean = capture_campaign(args.seed, fast=fast, faults=None,
+        clean = capture_campaign(args.seed, lane=lane, faults=None,
                                  snapshot_id="clean-0")
 
         def find(bundle_id):
@@ -989,14 +959,14 @@ def _cmd_forensics(args) -> None:
         return
 
     # -- capture (default) ---------------------------------------------
-    cap = capture_campaign(args.seed, fast=fast, fail_after=args.fail_after)
+    cap = capture_campaign(args.seed, lane=lane, fail_after=args.fail_after)
     recorder = cap.recorder
     matches = match_bundles(cap.applied, cap.bundles, cap.epoch)
 
     if args.json:
         _print_json({
             "seed": args.seed,
-            "fast_lane": fast,
+            "fast_lane": not args.no_fast_lane,
             "applied_faults": _fault_rows(cap.world),
             "bundles": [b.to_dict() for b in cap.bundles],
             "recorder": recorder.stats(),
@@ -1081,8 +1051,6 @@ _FLAGS = {
     "no_repair": ("--no-repair", bool, False,
                   "disable anti-entropy repair (negative control)"),
     "quick": ("--quick", bool, False, "reduced campaign for CI smoke runs"),
-    "out": ("--out", str, None,
-            "result path (default benchmarks/BENCH_pipeline.json)"),
     "job": ("--job", int, None,
             "job id to explain (default: the campaign's own job)"),
     "trace_id": ("--trace-id", str, None, "drill into one retained trace id"),
@@ -1135,7 +1103,7 @@ _COMMANDS = {
     "trace": (_cmd_trace, ("trace_id", "slowest", "drops", "head_rate",
                            "tail_latency", "seed", "ranks_per_node",
                            "fail_after", "no_fast_lane", "json", "check")),
-    "bench": (_cmd_bench, ("quick", "seed", "out", "json", "check")),
+    "bench": (_cmd_bench, ("quick", "check")),
     "fleet": (_cmd_fleet, ("scan", "export", "catalog", "no_fast_lane",
                            "json", "check")),
     "forensics": (_cmd_forensics, ("capture", "show", "diff", "seed",

@@ -50,13 +50,6 @@ class ConnectorConfig:
     #: current behaviour; >1 = the future-work sampling).
     sample_every: int = 1
     cost_model: FormatCostModel = field(default_factory=FormatCostModel)
-    #: Host-side fast lane: template-compiled column-wise formatting
-    #: (payload render deferred), coalesced publish (format + send charged
-    #: in one engine trip at the exact times the two-trip path
-    #: computes) and, when the world's express spine is armed, the
-    #: virtualized publish→forward→ingest path.  Simulated results are
-    #: bit-identical either way; False keeps the reference path.
-    fast_lane: bool = True
     #: Spill-to-Darshan-log fallback (the real connector's behaviour
     #: when the local ldmsd is unreachable): events buffer in order,
     #: a reconnect loop backs off exponentially with deterministic
@@ -67,7 +60,8 @@ class ConnectorConfig:
     reconnect_cap_s: float = 2.0
     reconnect_max_attempts: int = 30
     #: Compatibility keyword only: the columnar path *is* the fast
-    #: lane.  Must equal ``fast_lane`` when given; stored nowhere.
+    #: lane, and the lane is the world's.  Only ``True`` is accepted;
+    #: stored nowhere.
     columnar: InitVar[bool | None] = None
 
     def __post_init__(self, columnar: bool | None) -> None:
@@ -77,10 +71,11 @@ class ConnectorConfig:
             raise ValueError("sample_every must be >= 1")
         if self.reconnect_max_attempts < 1:
             raise ValueError("reconnect_max_attempts must be >= 1")
-        if columnar is not None and columnar != self.fast_lane:
+        if columnar is not None and not columnar:
             raise ValueError(
-                "columnar is the fast lane: ConnectorConfig(columnar=...) "
-                "must equal fast_lane"
+                "the connector takes its lane from the world it publishes "
+                "into: use WorldConfig(fast_lane=False) for the reference "
+                "lane, not ConnectorConfig(columnar=False)"
             )
 
 
@@ -135,7 +130,6 @@ class DarshanLdmsConnector:
         # plain attributes (one lookup instead of two, 62k+ times).
         self._stream_tag = config.stream_tag
         self._format_mode = config.format_mode
-        self._fast_lane = config.fast_lane
         self._spill_enabled = config.spill
         self._sample_all = config.sample_every == 1
         self._job_id = runtime.job_id
@@ -161,7 +155,12 @@ class DarshanLdmsConnector:
 
     def on_io_event(self, event: IOEvent):
         """Darshan listener hook: sample, format (charging the rank),
-        publish to the node's ldmsd."""
+        publish to the node's ldmsd.
+
+        The lane is the daemon's: a fast-lane world builds fast-lane
+        daemons, and the connector formats and publishes the way the
+        daemon it hands the message to carries it.
+        """
         stats = self.stats
         stats.events_seen += 1
         if self._sample_all:
@@ -172,13 +171,14 @@ class DarshanLdmsConnector:
             stats.messages_suppressed += 1
             return
 
-        if self._fast_lane:
+        daemon = self._daemon_for_node(event.context.node_name)
+        if daemon.fast_lane:
             formatted = self.builder.format_columnar(
                 event, mode=self._format_mode
             )
             if type(formatted) is ColumnarFormatted:
                 if not self._spill_enabled:
-                    pending = self._publish_columnar(event, formatted)
+                    pending = self._publish_columnar(event, formatted, daemon)
                     if pending is not None:
                         yield from pending
                     return
@@ -200,12 +200,11 @@ class DarshanLdmsConnector:
         stats.numeric_conversions += formatted.numeric_conversions
         stats.format_seconds += formatted.format_cost_s
         payload = formatted.payload or "{}"
-        daemon = self._daemon_for_node(event.context.node_name)
         trace_id = self._next_trace_id(event.context.rank)
 
         if self.config.spill:
             yield from self._publish_or_spill(event, payload, formatted, daemon, trace_id)
-        elif self.config.fast_lane:
+        elif daemon.fast_lane:
             # Coalesced publish: one engine trip instead of two.  The
             # slow lane advances the clock twice — to t_pub after the
             # format timeout, then to t_done after the publish cost — so
@@ -252,7 +251,8 @@ class DarshanLdmsConnector:
         # publishes the two-byte "{}" placeholder, not the empty string.
         stats.bytes_published += len(payload)
 
-    def _publish_columnar(self, event: IOEvent, formatted: ColumnarFormatted):
+    def _publish_columnar(self, event: IOEvent, formatted: ColumnarFormatted,
+                          daemon):
         """The fast lane's publish half for a column-wise formatted event.
 
         Express path (armed spine): both lane instants — ``t_pub`` and
@@ -273,7 +273,6 @@ class DarshanLdmsConnector:
         stats.format_seconds += formatted.format_cost_s
         nbytes = formatted.payload_chars
         ctx = event.context
-        daemon = self._daemon_for_node(ctx.node_name)
         trace_id = self._next_trace_id(ctx.rank)
         env = self.env
         t_pub = env.now + formatted.format_cost_s

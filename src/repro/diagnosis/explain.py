@@ -700,7 +700,7 @@ class ExplainCampaign:
         return score_verdicts(self.report.verdicts, self.applied)
 
 
-def explain_campaign(seed: int = 42, *, fast: bool = True,
+def explain_campaign(seed: int = 42, *, lane: str = "fast",
                      faults="explain") -> ExplainCampaign:
     """Run the four-class chaos campaign and explain its job.
 
@@ -711,16 +711,16 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
     this job) crosses it while the clean control (peak 0) stays clear.
     ``faults=None`` is the clean control run.  The report's verdicts
     ride the flight recorder as the ``verdicts`` evidence stream.
+    ``lane`` is a :data:`~repro.experiments.chaos.LANES` name.
     """
     from repro.experiments.chaos import (
         diagnosis_config,
         flightrec_config,
-        lane_name,
         run_campaign,
     )
 
     world, result = run_campaign(
-        seed, lane=lane_name(fast),
+        seed, lane=lane,
         faults=explain_plan() if faults == "explain" else faults,
         iterations=24,
         diagnosis=diagnosis_config(queue_depth_threshold=64),
@@ -746,11 +746,10 @@ def check_explain(seed: int = 42, lanes=None):
     fault-free control run classifies ``healthy``.  Returns
     ``(ok, lines)``.
     """
-    from repro.experiments.chaos import CHECK_LANES, LANES, check_lanes
+    from repro.experiments.chaos import CHECK_LANES, check_lanes
 
     def campaign(lane, faults="explain"):
-        return explain_campaign(seed, fast=LANES[lane]["fast_lane"],
-                                faults=faults)
+        return explain_campaign(seed, lane=lane, faults=faults)
 
     def judge(first, lane):
         failures = []

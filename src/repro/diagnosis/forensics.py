@@ -348,7 +348,7 @@ class CaptureResult:
         return self.recorder.bundle(bundle_id)
 
 
-def capture_campaign(seed: int = 42, *, fast: bool = True, faults="chaos",
+def capture_campaign(seed: int = 42, *, lane: str = "fast", faults="chaos",
                      fail_after: int = 50,
                      snapshot_id: str | None = None) -> CaptureResult:
     """Run the chaos campaign with diagnosis + flight recorder armed.
@@ -357,17 +357,17 @@ def capture_campaign(seed: int = 42, *, fast: bool = True, faults="chaos",
     clean control run (give it a ``snapshot_id`` so the recorder
     freezes a whole-run bundle to diff against).  Pending triggers are
     flushed after the drain, so a trigger near the end of the run still
-    freezes its bundle.
+    freezes its bundle.  ``lane`` is a :data:`~repro.experiments.chaos.LANES`
+    name.
     """
     from repro.experiments.chaos import (
         diagnosis_config,
         flightrec_config,
-        lane_name,
         run_campaign,
     )
 
     world, result = run_campaign(
-        seed, lane=lane_name(fast),
+        seed, lane=lane,
         faults=chaos_plan(fail_after) if faults == "chaos" else faults,
         diagnosis=diagnosis_config(), flightrec=flightrec_config(),
     )
@@ -391,7 +391,7 @@ def check_forensics(seed: int = 42, lanes=None):
     class matched by at least one bundle whose evidence names a
     detecting signal.  Returns ``(ok, lines)``.
     """
-    from repro.experiments.chaos import CHECK_LANES, LANES, check_lanes
+    from repro.experiments.chaos import CHECK_LANES, check_lanes
 
     def judge(cap, lane):
         failures = []
@@ -417,7 +417,7 @@ def check_forensics(seed: int = 42, lanes=None):
         )
 
     return check_lanes(
-        lambda lane: capture_campaign(seed, fast=LANES[lane]["fast_lane"]),
+        lambda lane: capture_campaign(seed, lane=lane),
         lambda cap: [b.to_canonical_json() for b in cap.bundles],
         judge, what="bundle JSON", lanes=lanes or CHECK_LANES,
     )

@@ -24,14 +24,12 @@ __all__ = [
     "run_campaign",
 ]
 
-#: Lane name -> the switches it sets on *both* WorldConfig and
-#: ConnectorConfig, slowest first.  ``slow`` is the per-message
-#: reference path; ``fast`` arms the express spine wherever its guard
-#: allows.  Simulated results are bit-identical on both lanes.
-LANES = {
-    "slow": {"fast_lane": False},
-    "fast": {"fast_lane": True},
-}
+#: Lane name -> its ``WorldConfig.fast_lane``, slowest first.  ``slow``
+#: is the per-message reference path; ``fast`` arms the express spine
+#: wherever its guard allows.  The connector follows the lane of the
+#: daemons it publishes into, so the world's switch is the only one.
+#: Simulated results are bit-identical on both lanes.
+LANES = {"slow": False, "fast": True}
 
 #: Lanes the ``forensics``/``explain`` checks exercise: both, so the
 #: fast lane's spine must refuse to arm under the observers and the
@@ -93,18 +91,17 @@ def run_campaign(seed: int, *, lane: str = "fast", faults=None,
     from repro.experiments import World, WorldConfig, run_job
     from repro.ldms.resilience import RetryPolicy
 
-    switches = LANES[lane]
     world = World(WorldConfig(
         seed=seed, quiet=True, n_compute_nodes=4, telemetry=telemetry,
         faults=faults, retry=RetryPolicy(), standby_l1=True,
-        **switches, **fields,
+        fast_lane=LANES[lane], **fields,
     ))
     app = MpiIoTest(
         n_nodes=2, ranks_per_node=ranks_per_node, iterations=iterations,
         block_size=2**20, collective=False, sync_per_iteration=False,
     )
     result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(spill=True, **switches),
+                     connector_config=ConnectorConfig(spill=True),
                      inter_job_gap_s=0.0)
     return world, result
 

@@ -206,8 +206,7 @@ def scan_cluster(spec: FleetClusterSpec, *,
     # windows (sub-second offsets) land inside the I/O burst.
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=spec.spill,
-                                         fast_lane=fast_lane),
+        connector_config=ConnectorConfig(spill=spec.spill),
         inter_job_gap_s=0.0,
     )
 

@@ -492,7 +492,8 @@ class Ldmsd:
         self.publish_overhead_s = publish_overhead_s
         self.loopback_bandwidth_bps = loopback_bandwidth_bps
         #: Host-side batching of forward delivery (simulated results are
-        #: identical; False keeps the per-message reference path).
+        #: identical; False keeps the per-message reference path).  A
+        #: connector publishing here takes this as its lane too.
         self.fast_lane = fast_lane
         self.streams = StreamsBus()
         self.streams.telemetry = _BusTelemetry(self)

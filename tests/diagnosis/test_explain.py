@@ -273,12 +273,12 @@ def test_score_reports_missing_class():
 
 @pytest.fixture(scope="module")
 def faulted():
-    return explain_campaign(seed=42, fast=False)
+    return explain_campaign(seed=42, lane="slow")
 
 
 @pytest.fixture(scope="module")
 def clean():
-    return explain_campaign(seed=42, fast=False, faults=None)
+    return explain_campaign(seed=42, lane="slow", faults=None)
 
 
 def test_campaign_classifies_every_injected_class(faulted):

@@ -11,7 +11,7 @@ from repro.diagnosis.explain import explain_campaign
 @pytest.fixture(scope="module")
 def faulted():
     """One slow-lane chaos campaign shared by every test here."""
-    return explain_campaign(seed=42, fast=False)
+    return explain_campaign(seed=42, lane="slow")
 
 
 def test_default_vector_is_all_zeros_idle():

@@ -20,12 +20,12 @@ from repro.diagnosis.forensics import (
 
 @pytest.fixture(scope="module")
 def chaos():
-    return capture_campaign(seed=42, fast=True)
+    return capture_campaign(seed=42, lane="fast")
 
 
 @pytest.fixture(scope="module")
 def clean():
-    return capture_campaign(seed=42, fast=True, faults=None,
+    return capture_campaign(seed=42, lane="fast", faults=None,
                             snapshot_id="clean-0")
 
 
@@ -82,7 +82,7 @@ def test_evidence_links_are_cross_layer(chaos):
 
 
 def test_bundle_json_byte_stable_across_same_seed_runs(chaos):
-    again = capture_campaign(seed=42, fast=True)
+    again = capture_campaign(seed=42, lane="fast")
     assert [b.to_canonical_json() for b in chaos.bundles] == [
         b.to_canonical_json() for b in again.bundles
     ]
@@ -100,7 +100,7 @@ def test_clean_run_triggers_nothing(clean):
 def test_max_bundles_cap_counts_dropped_triggers():
     from repro.telemetry.flightrec import FlightRecorder, FlightRecorderConfig
 
-    chaos_run = capture_campaign(seed=42, fast=True)
+    chaos_run = capture_campaign(seed=42, lane="fast")
     recorder = chaos_run.recorder
     # Re-drive the same triggers against a capped recorder state.
     capped = FlightRecorder(

@@ -1,4 +1,4 @@
-"""Pipeline-benchmark report shape and per-run freshness.
+"""Pipeline-benchmark report shape, per-run freshness and lane shape.
 
 An earlier revision of ``repro.experiments.bench`` duplicated the
 simulated outcome into every lane's section of the report.  Because
@@ -7,7 +7,9 @@ numbers *looked* like a counters-not-reset bug (one result per lane,
 all identical) — and would have silently hidden a real one.  The
 report now keeps host metrics per lane and the simulated outcome in
 one shared section, asserted identical across lanes on every run;
-these tests pin both the layout and the freshness.
+these tests pin both the layout and the freshness, plus the
+deterministic shape of the fast lane's win (engine events, spine
+counters), which no host timer can flake.
 """
 
 from repro.experiments.bench import _SIM_KEYS, LANES, _run_lane, pipeline_benchmark
@@ -28,7 +30,7 @@ def test_run_lane_is_fresh_per_run():
 
 
 def test_report_separates_host_from_simulated():
-    result = pipeline_benchmark(quick=True, seed=42)
+    result = pipeline_benchmark(quick=True)
     # One shared simulated section...
     assert set(_SIM_KEYS) <= set(result["simulated"])
     for lane in LANES:
@@ -39,7 +41,6 @@ def test_report_separates_host_from_simulated():
         assert section["lane"] == lane
         assert section["wall_s"] > 0
         assert section["engine_events"] > 0
-        assert section["peak_rss_kib"] > 0
     assert list(LANES) == ["slow", "fast"]
     # Only the fast lane carries spine batch counters: its armed spine
     # carried every published message.
@@ -49,6 +50,11 @@ def test_report_separates_host_from_simulated():
     assert spine["rows"] == result["simulated"]["messages_published"]
     assert result["speedup_events_per_sec"] > 0
     assert not {"speedup_columnar_vs_fast", "speedup_columnar_vs_slow",
-                "fast_baseline", "columnar"} & set(result)
-    # Quick runs never claim a full-campaign baseline comparison.
-    assert result["speedup_vs_seed_baseline"] is None
+                "fast_baseline", "columnar", "seed_baseline",
+                "speedup_vs_seed_baseline"} & set(result)
+    # The express spine virtualizes the monitoring pipeline outright:
+    # engine events collapse to the application-I/O scale.
+    assert result["fast"]["engine_events"] < result["slow"]["engine_events"] * 0.12
+    # Both lanes processed the same non-trivial campaign.
+    assert result["simulated"]["events_seen"] > 5_000
+    assert result["simulated"]["objects_stored"] > 5_000

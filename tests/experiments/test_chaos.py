@@ -12,17 +12,19 @@ from repro.experiments.chaos import (
 
 
 def _lanes_agree(world) -> bool:
-    """Every connector runs the lane its world was built for."""
+    """Every connector runs the lane its world was built for: the lane
+    it derives from each daemon it can publish into."""
     assert world.connectors
     return all(
-        c.config.fast_lane == world.config.fast_lane for c in world.connectors
+        c._daemon_for_node(node).fast_lane == world.config.fast_lane
+        for c in world.connectors for node in world.fabric.compute_daemons
     )
 
 
 def test_lane_table_round_trips_through_lane_name():
     assert list(LANES) == ["slow", "fast"]
-    for name, switches in LANES.items():
-        assert lane_name(switches["fast_lane"]) == name
+    for name, fast_lane in LANES.items():
+        assert lane_name(fast_lane) == name
     assert set(CHECK_LANES) == set(LANES)
 
 
@@ -30,9 +32,9 @@ def test_lane_table_round_trips_through_lane_name():
 def test_run_campaign_applies_the_lane_to_world_and_connector(lane):
     world, result = run_campaign(3, lane=lane, iterations=2)
     assert _lanes_agree(world)
-    assert world.config.fast_lane == LANES[lane]["fast_lane"]
+    assert world.config.fast_lane == LANES[lane]
     # Only the fast lane builds a spine; the chaos world never arms it.
-    assert (world.spine is not None) == LANES[lane]["fast_lane"]
+    assert (world.spine is not None) == LANES[lane]
     assert world.spine is None or not world.spine.armed
     assert result.health.verify()
 
@@ -44,17 +46,17 @@ def test_columnar_capture_campaign_runs_the_columnar_connector():
     carries the (unarmed) express spine."""
     from repro.diagnosis.forensics import capture_campaign
 
-    cap = capture_campaign(seed=42, fast=True)
+    cap = capture_campaign(seed=42, lane="fast")
     assert cap.world.spine is not None and not cap.world.spine.armed
-    assert all(c._fast_lane for c in cap.world.connectors)
+    assert cap.world.config.fast_lane
     assert _lanes_agree(cap.world)
 
 
 def test_columnar_explain_campaign_runs_the_columnar_connector():
     from repro.diagnosis.explain import explain_campaign
 
-    campaign = explain_campaign(seed=42, fast=True)
-    assert all(c._fast_lane for c in campaign.world.connectors)
+    campaign = explain_campaign(seed=42, lane="fast")
+    assert campaign.world.config.fast_lane
     assert _lanes_agree(campaign.world)
     assert campaign.score.ok()
 

@@ -36,7 +36,7 @@ def _campaign(seed: int, fast: bool = True):
     # No inter-job gap, so the timed fault windows overlap the traffic.
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
+        connector_config=ConnectorConfig(spill=True),
         inter_job_gap_s=0.0,
     )
     return world, result

@@ -32,7 +32,7 @@ def _campaign(plan, *, seed=42, repair=True, fast=True):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
+        connector_config=ConnectorConfig(spill=True),
         inter_job_gap_s=0.0,
     )
     return world, result

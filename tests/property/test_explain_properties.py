@@ -44,7 +44,7 @@ def _campaign(fast: bool, *, explain: bool):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast),
+        connector_config=ConnectorConfig(),
     )
     report = None
     if explain:

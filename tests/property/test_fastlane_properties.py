@@ -127,7 +127,7 @@ def _world_outcome(config: WorldConfig, jobs, *, dearm: bool = False,
         mutate(world)
     if dearm:
         world.spine.dearm()
-    connector = ConnectorConfig(fast_lane=config.fast_lane)
+    connector = ConnectorConfig()
     results = [
         run_job(world, app(), fs, connector_config=connector,
                 inter_job_gap_s=gap)
@@ -327,7 +327,7 @@ def _chaos_campaign(*, fast):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
+        connector_config=ConnectorConfig(spill=True),
         inter_job_gap_s=0.0,
     )
     rows = [dict(obj) for obj in world.query_job(result.job_id)]

@@ -78,7 +78,7 @@ def test_chaos_campaign_reconciles_on_both_lanes(fast):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
+        connector_config=ConnectorConfig(spill=True),
         inter_job_gap_s=0.0,
     )
 

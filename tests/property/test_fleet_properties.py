@@ -36,7 +36,7 @@ def _campaign(fast: bool, probe, diagnosis=None):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast),
+        connector_config=ConnectorConfig(),
     )
     rows = [dict(obj) for obj in world.query_job(result.job_id)]
     return {

@@ -45,7 +45,7 @@ def _campaign(*, fast: bool, flightrec, faults=None):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast),
+        connector_config=ConnectorConfig(),
     )
     rows = [dict(obj) for obj in world.query_job(result.job_id)]
     return {

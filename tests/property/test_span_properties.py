@@ -61,7 +61,7 @@ def _campaign(fast: bool, telemetry, faults=None):
     result = run_job(
         world, app, "nfs",
         connector_config=ConnectorConfig(
-            spill=faults is not None, fast_lane=fast,
+            spill=faults is not None,
         ),
         inter_job_gap_s=0.0,
     )

@@ -52,7 +52,7 @@ def _lane_campaign(lane, **dsos_kw):
     app = Hmmer(ranks_per_node=4, n_families=30)
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast),
+        connector_config=ConnectorConfig(),
     )
     t = world.telemetry
     return {
@@ -105,7 +105,7 @@ def _drill_campaign(*, seed, dearm=False):
     )
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=True),
+        connector_config=ConnectorConfig(spill=True),
         inter_job_gap_s=0.0,
     )
     return world, result

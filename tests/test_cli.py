@@ -386,58 +386,6 @@ def test_repro_cli_json_outputs_are_stable_sorted(argv, capsys):
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def test_repro_cli_bench_json_sorted_and_snapshotted(monkeypatch, capsys,
-                                                     tmp_path):
-    """bench --json: sorted JSON on stdout, dated snapshot on disk."""
-    import json
-
-    from repro.experiments import bench
-
-    fake = {
-        "benchmark": "pipeline_fast_lane",
-        "campaign": {"quick": True},
-        "slow": {"wall_s": 2.0, "events_per_sec": 100.0, "engine_events": 5},
-        "fast": {"wall_s": 1.0, "events_per_sec": 200.0, "engine_events": 5},
-        "speedup_events_per_sec": 2.0,
-        "speedup_vs_seed_baseline": None,
-    }
-    monkeypatch.setattr(bench, "pipeline_benchmark", lambda **kw: fake)
-    monkeypatch.setattr(bench, "RESULTS_DIR", tmp_path)
-    assert repro_main(["bench", "--quick", "--json"]) == 0
-    out = capsys.readouterr().out
-    assert out == json.dumps(fake, indent=2, sort_keys=True) + "\n"
-    snaps = list(tmp_path.glob("bench_pipeline_*.json"))
-    assert len(snaps) == 1
-    assert json.loads(snaps[0].read_text()) == fake
-    # The dated name embeds an ISO date.
-    import re
-
-    assert re.fullmatch(
-        r"bench_pipeline_\d{4}-\d{2}-\d{2}\.json", snaps[0].name
-    )
-
-
-def test_bench_same_day_snapshots_never_overwrite(monkeypatch, tmp_path):
-    """Same-day reruns get _runN suffixes — the first free slot wins."""
-    import datetime
-
-    from repro.experiments import bench
-
-    monkeypatch.setattr(bench, "RESULTS_DIR", tmp_path)
-    day = datetime.date(2026, 8, 9)
-    first = bench.snapshot_path(day)
-    assert first.name == "bench_pipeline_2026-08-09.json"
-    first.write_text("{}")
-    second = bench.snapshot_path(day)
-    assert second.name == "bench_pipeline_2026-08-09_run2.json"
-    second.write_text("{}")
-    third = bench.snapshot_path(day)
-    assert third.name == "bench_pipeline_2026-08-09_run3.json"
-    # A gap is reused: delete run2 and the next snapshot lands there.
-    second.unlink()
-    assert bench.snapshot_path(day).name == "bench_pipeline_2026-08-09_run2.json"
-
-
 # -------------------------------------------------------------- repro fleet
 
 
@@ -631,7 +579,7 @@ def test_repro_cli_forensics_check_fails_on_unmatched_class(
 
 #: Each command declares only the flags it reads: these argvs pass a
 #: flag some other command owns, a flag no command owns any more (the
-#: retired ``--columnar``), or a flag before the command.
+#: retired ``--columnar`` and ``--out``), or a flag before the command.
 _FOREIGN_FLAG_ARGVS = [
     ["fig7", "--drill"],
     ["diagnose", "--topology"],
@@ -645,6 +593,9 @@ _FOREIGN_FLAG_ARGVS = [
     ["explain", "--columnar", "--no-fast-lane"],
     ["store", "--drill", "--check", "--columnar"],
     ["forensics", "--columnar"],
+    ["bench", "--json"],
+    ["bench", "--out", "x"],
+    ["bench", "--seed", "1"],
 ]
 
 
@@ -707,19 +658,26 @@ def test_repro_cli_profile_reference_lane_is_reference_end_to_end(
     monkeypatch, capsys
 ):
     """``profile --no-fast-lane`` builds a slow world *and* a slow
-    connector (the connector once kept its fast-lane default)."""
+    connector (the connector once kept its fast-lane default); the
+    default builds both fast.  The connector takes its lane from the
+    daemons it publishes into, so each must match its world."""
     import repro.experiments
 
     seen = []
     real = repro.experiments.run_job
 
     def spy(world, app, fs, connector_config=None, **kw):
-        seen.append((world.config.fast_lane, connector_config.fast_lane))
-        return real(world, app, fs, connector_config=connector_config, **kw)
+        result = real(world, app, fs, connector_config=connector_config, **kw)
+        seen.append((world.config.fast_lane, {
+            c._daemon_for_node(node).fast_lane
+            for c in world.connectors for node in world.fabric.compute_daemons
+        }))
+        return result
 
     monkeypatch.setattr(repro.experiments, "run_job", spy)
     assert repro_main(["profile", "--no-fast-lane"]) == 0
-    assert seen == [(False, False)]
+    assert repro_main(["profile"]) == 0
+    assert seen == [(False, {False}), (True, {True})]
     assert "EXACT" in capsys.readouterr().out
 
 
