@@ -734,12 +734,14 @@ def _cmd_bench(args) -> None:
     """Two-lane pipeline benchmark: slow vs fast lane, one process.
 
     Runs the HMMER campaign fresh on each lane and fails unless both
-    reach the identical simulated outcome.  Writes the result to
-    ``benchmarks/BENCH_pipeline.json``; with ``--check``, instead
-    compares the measured fast/slow speedup against that committed
-    file and exits 1 when it fell below 75 % of it — the ratio, not
-    the walls, so the check is machine-independent.  Absolute
-    throughput and peak RSS are gated per workload by ``perfbench/``.
+    reach the identical simulated outcome.  A full run writes the
+    result to ``benchmarks/BENCH_pipeline.json``; a ``--quick`` run
+    only prints, so the reduced campaign never replaces the committed
+    record.  With ``--check``, compares the measured fast/slow speedup
+    against that committed file instead and exits 1 when it fell below
+    75 % of it — the ratio, not the walls, so the check is
+    machine-independent.  Absolute throughput and peak RSS are gated
+    per workload by ``perfbench/``.
     """
     from repro.experiments.bench import (
         DEFAULT_RESULT_PATH,
@@ -773,6 +775,9 @@ def _cmd_bench(args) -> None:
             f"FAIL: {key} {result[key]:.2f}x regressed below 75% of "
             f"committed {committed:.2f}x"
         ], "OK: lane speedup within 25% of committed")
+    elif args.quick:
+        print(f"not recorded: a --quick run never replaces "
+              f"{DEFAULT_RESULT_PATH.name}")
     else:
         DEFAULT_RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
         print(f"wrote {DEFAULT_RESULT_PATH}")

@@ -11,8 +11,12 @@ count is surfaced for the index-choice ablation.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 
 __all__ = ["SortedIndex"]
+
+_KEY = itemgetter(0)
+_OID = itemgetter(1)
 
 
 class SortedIndex:
@@ -43,14 +47,25 @@ class SortedIndex:
         self._pending.extend(pairs)
 
     def _materialize(self) -> None:
-        if not self._pending:
+        """Fold the pending run into the backbone: the result equals a
+        stable sort of backbone + pending on the key.  Only the pending
+        run is sorted; it is appended when it starts at or after the
+        backbone's last key (the timestamp-ordered ingest case), else
+        the two sorted runs are merged by one stable C sort."""
+        pending = self._pending
+        if not pending:
             return
-        merged = list(zip(self._keys, self._oids))
-        merged.extend(self._pending)
-        self._pending.clear()
-        merged.sort(key=lambda kv: kv[0])
-        self._keys = [k for k, _ in merged]
-        self._oids = [o for _, o in merged]
+        pending.sort(key=_KEY)
+        if self._keys and pending[0][0] < self._keys[-1]:
+            merged = list(zip(self._keys, self._oids))
+            merged.extend(pending)
+            merged.sort(key=_KEY)
+            self._keys = list(map(_KEY, merged))
+            self._oids = list(map(_OID, merged))
+        else:
+            self._keys.extend(map(_KEY, pending))
+            self._oids.extend(map(_OID, pending))
+        pending.clear()
 
     # -- range scans ----------------------------------------------------------
 

@@ -184,18 +184,45 @@ class GroupBy:
     def __init__(self, frame: DataFrame, keys: tuple):
         self.frame = frame
         self.keys = keys
-        # Group rows by key tuples, preserving first-seen order.
-        self._groups: dict[tuple, list[int]] = {}
+        # Groups in first-seen order, each with its rows ascending.
+        self._groups: dict[tuple, np.ndarray] = {}
         key_cols = [frame.col(k) for k in keys]
-        for i in range(len(frame)):
-            key = tuple(c[i] for c in key_cols)
-            self._groups.setdefault(key, []).append(i)
+        n = len(frame)
+        if not n:
+            return
+        # Code every row by the first row holding an equal key.  Per
+        # column a dict does the matching, so Python equality and hash
+        # decide it as a key tuple would: each NaN is its own group,
+        # -0.0 == 0.0, and 1 == 1.0 == True.  Combining the columns'
+        # codes keeps them first rows, so sorting rows by code lists
+        # the groups in first-seen order.
+        codes = None
+        for col in key_cols:
+            first = {}
+            col_codes = np.fromiter(
+                map(first.setdefault, col.tolist(), range(n)), np.intp, n
+            )
+            if codes is None:
+                codes = col_codes
+            else:
+                _, head, inverse = np.unique(
+                    codes * n + col_codes, return_index=True,
+                    return_inverse=True,
+                )
+                codes = head[inverse]
+        rows = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[rows], prepend=-1))
+        for first_row, idx in zip(rows[starts].tolist(),
+                                  np.split(rows, starts[1:])):
+            # The key is read off the group's first row, so its
+            # elements keep the column's scalar types.
+            self._groups[tuple(c[first_row] for c in key_cols)] = idx
 
     def __len__(self) -> int:
         return len(self._groups)
 
     def groups(self) -> dict[tuple, np.ndarray]:
-        return {k: np.asarray(v) for k, v in self._groups.items()}
+        return {k: v.copy() for k, v in self._groups.items()}
 
     def agg(self, spec: dict) -> DataFrame:
         """``spec`` maps column → agg name ("sum", "mean", ...) or callable.

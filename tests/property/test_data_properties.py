@@ -73,6 +73,46 @@ def test_sorted_index_interleaved_adds_and_queries(before, after):
     assert got == sorted([(k,) for k in before + after])
 
 
+#: Two-part keys from a small domain, so runs share keys; ``1`` and
+#: ``1.0`` are equal keys of different types.
+_index_key = st.tuples(st.sampled_from([0, 1, 1.0, 2, 3]),
+                       st.sampled_from([0, 0.5, 1, 1.0]))
+
+
+@given(
+    batches=st.lists(
+        st.tuples(st.lists(_index_key, max_size=30), st.integers(0, 4),
+                  st.booleans()),
+        min_size=1, max_size=6,
+    )
+)
+def test_sorted_index_materialize_is_a_stable_sort_of_both_runs(batches):
+    """Each scan folds the pending run in; the backbone then equals
+    ``sorted(backbone + pending, key=itemgetter(0))``, duplicate keys
+    kept in backbone-then-arrival order.  A batch shifted up by
+    ``lift`` mostly starts after the backbone (the append branch)."""
+    from operator import itemgetter
+
+    idx = SortedIndex("t", ("a", "b"))
+    model: list = []
+    oid = 0
+    for keys, lift, bulk in batches:
+        pending = []
+        for a, b in keys:
+            pending.append(((a + lift * len(model), b), oid))
+            oid += 1
+        if bulk:
+            idx.extend_unchecked(pending)
+        else:
+            for key, o in pending:
+                idx.add(key, o)
+        model = sorted(model + pending, key=itemgetter(0))
+        got = list(idx.iter_sorted())
+        assert [(repr(k), o) for k, o in got] == \
+            [(repr(k), o) for k, o in model]
+        assert len(idx) == len(model)
+
+
 # ------------------------------------------------------------- dataframe
 
 

@@ -692,3 +692,74 @@ def test_repro_cli_store_modes_and_lane_flags_are_usage_errors(capsys):
             repro_main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def _stub_bench(monkeypatch, tmp_path, speedup):
+    """``repro bench`` over a stubbed two-lane run and a tmp result file
+    holding a committed speedup of 4.0; returns the file and the
+    ``quick`` flags the stub was called with."""
+    import json
+
+    from repro.experiments import bench
+
+    calls = []
+
+    def fake(quick=False):
+        calls.append(quick)
+        lane = {"wall_s": 1.0, "events_per_sec": 10.0, "engine_events": 5}
+        return {
+            "campaign": {"n_families": 80 if quick else 400, "seed": 1},
+            "slow": lane, "fast": dict(lane),
+            "speedup_events_per_sec": speedup,
+        }
+
+    path = tmp_path / "BENCH_pipeline.json"
+    path.write_text(json.dumps({"speedup_events_per_sec": 4.0}) + "\n")
+    monkeypatch.setattr(bench, "pipeline_benchmark", fake)
+    monkeypatch.setattr(bench, "DEFAULT_RESULT_PATH", path)
+    return path, calls
+
+
+def test_bench_quick_prints_and_never_rewrites_the_record(
+    monkeypatch, tmp_path, capsys
+):
+    path, calls = _stub_bench(monkeypatch, tmp_path, speedup=3.3)
+    committed = path.read_bytes()
+    repro_main(["bench", "--quick"])
+    out = capsys.readouterr().out
+    assert calls == [True]
+    assert "speedup (events/s, fast vs slow): 3.30x" in out
+    assert "not recorded" in out and "wrote" not in out
+    assert path.read_bytes() == committed
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_bench_full_run_is_the_only_writer(monkeypatch, tmp_path, capsys):
+    import json
+
+    path, calls = _stub_bench(monkeypatch, tmp_path, speedup=3.3)
+    repro_main(["bench"])
+    assert calls == [False]
+    assert f"wrote {path}" in capsys.readouterr().out
+    written = json.loads(path.read_text())
+    assert written["campaign"]["n_families"] == 400
+    assert written["speedup_events_per_sec"] == 3.3
+
+
+@pytest.mark.parametrize("speedup, code", [(3.0, None), (2.9, 1)])
+def test_bench_quick_check_reads_the_record_without_writing(
+    monkeypatch, tmp_path, capsys, speedup, code
+):
+    path, calls = _stub_bench(monkeypatch, tmp_path, speedup=speedup)
+    committed = path.read_bytes()
+    if code is None:
+        repro_main(["bench", "--quick", "--check"])
+        assert "OK: lane speedup within 25% of committed" in \
+            capsys.readouterr().out
+    else:
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["bench", "--quick", "--check"])
+        assert exc.value.code == code
+        assert "FAIL: speedup_events_per_sec" in capsys.readouterr().out
+    assert calls == [True]
+    assert path.read_bytes() == committed
