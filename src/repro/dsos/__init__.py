@@ -8,7 +8,7 @@ here, matching Section IV-D:
   indices* (``job_rank_time`` etc.); "each index provided a different
   query performance", which the query stats expose;
 * :class:`~repro.dsos.daemon.Dsosd` — one storage daemon holding a
-  shard of each container partition;
+  shard of each schema's objects;
 * :class:`~repro.dsos.cluster.DsosCluster` — multiple ``dsosd``
   instances; ingest is distributed round-robin and queries fan out to
   all daemons in parallel, results merged in index order (exactly the
@@ -21,7 +21,6 @@ here, matching Section IV-D:
 
 from repro.dsos.schema import Attr, Schema, SchemaError, DARSHAN_DATA_SCHEMA
 from repro.dsos.index import SortedIndex
-from repro.dsos.partition import PartitionedContainer, PartitionInfo
 from repro.dsos.daemon import Dsosd
 from repro.dsos.cluster import DsosCluster
 from repro.dsos.query import Query, QueryResult, QueryStats
@@ -39,8 +38,6 @@ __all__ = [
     "DsosStreamStore",
     "LDMS_METRICS_SCHEMA",
     "MetricStreamStore",
-    "PartitionInfo",
-    "PartitionedContainer",
     "Query",
     "QueryResult",
     "QueryStats",

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
+import numpy as np
+
 from repro.dsos.index import SortedIndex
 from repro.dsos.journal import StoreWal, WalRecovery
 from repro.dsos.schema import Schema, SchemaError
@@ -53,8 +55,36 @@ def _key_getter(attrs: tuple):
     return itemgetter(*attrs)
 
 
+#: Kinds of a folded shard column (see :meth:`_Shard.columns`).
+INT, FLOAT, TEXT, MIXED = "int", "float", "text", "mixed"
+
+#: Cell types a ``TEXT`` column may hold: no number, and nothing numpy
+#: would descend into when building an object array (a tuple would).
+_TEXT_TYPES = frozenset({str, type(None)})
+
+
+def _chunk_column(values: list) -> tuple:
+    """``(kind, array)`` for one fold's cells of a column, by
+    ``DataFrame.from_records``'s rule on their type set: ``INT`` when
+    every cell is an ``int`` and int64 holds them all, ``FLOAT`` when
+    every cell is a ``float``, ``TEXT`` when every cell is a str or
+    None, else ``MIXED`` with no array."""
+    types = set(map(type, values))
+    if types == {int}:
+        try:
+            return INT, np.asarray(values, dtype=int)
+        except OverflowError:
+            return MIXED, None
+    if types == {float}:
+        return FLOAT, np.asarray(values, dtype=float)
+    if types <= _TEXT_TYPES:
+        return TEXT, np.asarray(values, dtype=object)
+    return MIXED, None
+
+
 class _Shard:
-    """One schema's objects + indices on one daemon."""
+    """One schema's objects + indices on one daemon, plus the typed
+    columns a frame is taken from (folded lazily, see :meth:`columns`)."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -68,6 +98,10 @@ class _Shard:
             (self.indices[name], _key_getter(attrs))
             for name, attrs in schema.indices.items()
         ]
+        #: ``name -> (kind, array)`` over ``objects[:_folded]``; None
+        #: once a folded object's keys are not the schema's attributes.
+        self._columns: dict | None = {}
+        self._folded = 0
 
     def add(self, obj: dict) -> int:
         oid = len(self.objects)
@@ -87,6 +121,49 @@ class _Shard:
         oids = range(base, base + len(objs))
         for index, key_of in self._keyed:
             index.extend_unchecked(list(zip(map(key_of, objs), oids)))
+
+    def columns(self) -> dict | None:
+        """``{attr: (kind, array)}`` over every object, in schema order.
+
+        Objects are append-only, so only those appended since the last
+        call are folded: each column's new cells are typed by
+        :func:`_chunk_column` and appended; a fold whose kind differs
+        from the column's makes the column ``MIXED`` (no array) for
+        good.  A column's kind thus reflects its whole type set, and a
+        selection's type set is a subset of it, so ``array[oids]`` of
+        an ``INT``, ``FLOAT`` or ``TEXT`` column is exactly what
+        ``from_records`` builds from those objects.  Returns None (and
+        stays None) once an object's key set is not the schema's
+        attributes, which only an unvalidated insert can store.
+        """
+        objs = self.objects
+        if self._columns is None or self._folded == len(objs):
+            return self._columns
+        chunk = objs[self._folded:]
+        self._folded = len(objs)
+        names = self.schema.attrs
+        folded = None
+        if set(map(len, chunk)) == {len(names)}:
+            try:
+                folded = {
+                    name: _chunk_column(list(map(itemgetter(name), chunk)))
+                    for name in names
+                }
+            except KeyError:
+                pass
+        if folded is None:
+            self._columns = None
+            return None
+        columns = self._columns
+        for name, (kind, arr) in folded.items():
+            old = columns.get(name)
+            if old is None:
+                columns[name] = kind, arr
+            elif old[0] != kind or kind == MIXED:
+                columns[name] = MIXED, None
+            else:
+                columns[name] = kind, np.concatenate((old[1], arr))
+        return columns
 
 
 class Dsosd:
@@ -286,9 +363,10 @@ class Dsosd:
         end: tuple | None = None,
         prefix: tuple | None = None,
         filters: list[tuple] | None = None,
-    ) -> tuple[list[tuple], int]:
-        """Sorted (key, object) pairs matching the query, plus the number
-        of index entries scanned (pre-filter) for the cost model."""
+    ) -> tuple[list, list, int]:
+        """``(keys, oids, scanned)``: the index keys and object ids of
+        the matching objects, in key order, plus the number of index
+        entries scanned (pre-filter) for the cost model."""
         shard = self._shard(schema_name)
         if index_name not in shard.indices:
             raise SchemaError(
@@ -299,17 +377,20 @@ class Dsosd:
             raise ValueError("prefix is exclusive with begin/end")
         checks = self._compile_filters(shard.schema, filters or ())
         keys, oids = index.scan(begin, end, prefix=prefix)
-        objs = list(map(shard.objects.__getitem__, oids))
+        scanned = len(oids)
         if not checks:
-            return list(zip(keys, objs)), len(oids)
-        out = []
-        for key, obj in zip(keys, objs):
+            return keys, oids, scanned
+        objects = shard.objects
+        kept_keys, kept_oids = [], []
+        for key, oid in zip(keys, oids):
+            obj = objects[oid]
             for attr, fn, value in checks:
                 if not fn(obj[attr], value):
                     break
             else:
-                out.append((key, obj))
-        return out, len(oids)
+                kept_keys.append(key)
+                kept_oids.append(oid)
+        return kept_keys, kept_oids, scanned
 
     @staticmethod
     def _compile_filters(schema: Schema, filters) -> list[tuple]:

@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 
+import numpy as np
+
+from repro.dsos.daemon import MIXED
+
 __all__ = ["Query", "QueryResult", "QueryStats"]
 
 #: Cost-model constants (seconds); relative magnitudes are what matter.
@@ -62,16 +66,62 @@ class QueryStats:
 
 @dataclass
 class QueryResult:
-    """Rows (in index order) plus the work accounting."""
+    """Rows (in index order) plus the work accounting.
+
+    The rows are the shards' own objects.  :meth:`frame` builds the
+    same rows' DataFrame from the shards' typed columns instead.
+    """
 
     rows: list[dict]
     stats: QueryStats
+    #: ``(shard, oids)`` per non-empty shard selection, in stream order.
+    parts: list = field(default_factory=list, repr=False, compare=False)
+    #: Merge order: positions into the concatenated selections (None:
+    #: the concatenation itself, a lone stream cut to the limit).
+    order: list | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __iter__(self):
         return iter(self.rows)
+
+    def frame(self):
+        """``DataFrame.from_records(self.rows)``, taken from columns.
+
+        Each column is each shard's typed column taken at the
+        selection's object ids, concatenated in stream order and put
+        in merge order, so no row dict is transposed.  A column that
+        is ``MIXED`` on some shard, or whose shards differ in kind,
+        runs ``from_records``' own column rule on the rows; a shard
+        holding an object without exactly the schema's attributes
+        sends every row through ``from_records``.  Columns follow the
+        first row's key order.  No rows raise ``DataFrameError``.
+        """
+        from repro.webservices.dataframe import (
+            DataFrame,
+            DataFrameError,
+            _column,
+        )
+
+        rows = self.rows
+        if not rows:
+            raise DataFrameError("query returned no rows")
+        folded = [shard.columns() for shard, _ in self.parts]
+        if None in folded:
+            return DataFrame.from_records(rows)
+        takes = [np.asarray(oids, dtype=np.intp) for _, oids in self.parts]
+        order = None if self.order is None else np.asarray(self.order, np.intp)
+        columns = {}
+        for name in rows[0]:
+            kinds = {cols[name][0] for cols in folded}
+            if len(kinds) > 1 or MIXED in kinds:
+                columns[name] = _column(list(map(itemgetter(name), rows)))
+                continue
+            pieces = [cols[name][1][take] for cols, take in zip(folded, takes)]
+            col = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            columns[name] = col if order is None else col[order]
+        return DataFrame(columns)
 
 
 class Query:
@@ -116,8 +166,10 @@ class Query:
         self._quorum = True
         return self
 
-    def _scan_shard(self, daemon, stats: QueryStats) -> list[tuple]:
-        pairs, scanned = daemon.query_shard(
+    def _scan_shard(self, daemon, stats: QueryStats) -> tuple:
+        """``(shard, keys, oids)`` of one daemon's matching objects."""
+        shard = daemon._shard(self.schema_name)
+        keys, oids, scanned = daemon.query_shard(
             self.schema_name,
             self.index_name,
             begin=self._begin,
@@ -127,7 +179,7 @@ class Query:
         )
         stats.shards_queried += 1
         stats.rows_scanned_per_shard.append(scanned)
-        return pairs
+        return shard, keys, oids
 
     def execute(self) -> QueryResult:
         """Fan out (per daemon, or per shard when replicated), merge
@@ -157,18 +209,24 @@ class Query:
                         f"({', '.join(r.name for r in replicas)} all down)"
                     )
                 shard_results.append(self._scan_shard(primary, stats))
-        streams = [pairs for pairs in shard_results if pairs]
+        streams = [s for s in shard_results if s[2]]
         if len(streams) == 1:
             # One stream is already in key order: nothing to merge.
-            pairs = streams[0][: self._limit]
+            shard, _, oids = streams[0]
+            parts = [(shard, oids[: self._limit])]
+            order = None
         else:
-            # Timsort finds each stream as a sorted run and merges the
-            # runs in C; being stable, it breaks key ties by stream
-            # order (equal keys come from the earlier shard first),
-            # exactly as heapq.merge does.
-            pairs = sorted(
-                chain.from_iterable(streams), key=itemgetter(0)
-            )[: self._limit]
-        rows = list(map(itemgetter(1), pairs))
+            # One stable sort of positions over the concatenated
+            # streams.  Timsort finds each stream as a sorted run and
+            # merges the runs in C; being stable, it breaks key ties by
+            # stream order (equal keys come from the earlier shard
+            # first), exactly as heapq.merge does.
+            parts = [(shard, oids) for shard, _, oids in streams]
+            keys = list(chain.from_iterable(s[1] for s in streams))
+            order = sorted(range(len(keys)), key=keys.__getitem__)[: self._limit]
+        objs = list(chain.from_iterable(
+            map(shard.objects.__getitem__, oids) for shard, oids in parts
+        ))
+        rows = objs if order is None else list(map(objs.__getitem__, order))
         stats.rows_returned = len(rows)
-        return QueryResult(rows=rows, stats=stats)
+        return QueryResult(rows=rows, stats=stats, parts=parts, order=order)

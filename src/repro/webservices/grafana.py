@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.dsos.client import DsosClient
-from repro.webservices.analysis import rows_to_dataframe
 from repro.webservices.dataframe import DataFrame
 
 __all__ = ["Dashboard", "DsosDataSource", "Panel", "PanelData", "render_ascii"]
@@ -30,25 +27,35 @@ class DsosDataSource:
         self.client = client
         self.schema_name = schema_name
 
-    def rows(
+    def _result(
         self,
         index: str = "job_rank_time",
         prefix: tuple | None = None,
         begin: tuple | None = None,
         end: tuple | None = None,
         where: list | None = None,
-    ) -> list[dict]:
-        """Run the query and hand back its rows, in index order: the
-        store's own row objects, so two indices over the same rows
-        return the same objects."""
+    ):
+        """One query: a key ``prefix`` or a ``[begin, end)`` range on
+        ``index``, then ``where`` filters; its
+        :class:`~repro.dsos.query.QueryResult` serves both :meth:`rows`
+        and :meth:`query`."""
         return self.client.query(
             self.schema_name, index, prefix=prefix, begin=begin, end=end, where=where
-        ).rows
+        )
+
+    def rows(self, *args, **kwargs) -> list[dict]:
+        """Run the query and hand back its rows, in index order: the
+        store's own row objects, so two indices over the same rows
+        return the same objects.  Takes ``index``, ``prefix``, ``begin``,
+        ``end`` and ``where``, as :meth:`query` does."""
+        return self._result(*args, **kwargs).rows
 
     def query(self, *args, **kwargs) -> DataFrame:
-        """Run the query and hand back a DataFrame (the pandas step);
-        takes the arguments of :meth:`rows`."""
-        return rows_to_dataframe(self.rows(*args, **kwargs))
+        """Run the query and hand back a DataFrame (the pandas step),
+        equal to ``DataFrame.from_records`` of :meth:`rows` but taken
+        from the store's typed shard columns
+        (:meth:`~repro.dsos.query.QueryResult.frame`)."""
+        return self._result(*args, **kwargs).frame()
 
 
 @dataclass(frozen=True)
@@ -86,26 +93,20 @@ class Dashboard:
     def render(self, source: DsosDataSource) -> list[PanelData]:
         """Execute every panel's query + analysis, in panel order.
 
-        Each distinct query spec is run once per render and its frame
-        is handed to every panel that shares the spec (frames are
-        read-only, so one analysis cannot disturb the next).  A frame
-        is released right after the last panel that reads it.
-
-        A spec whose rows are the last built frame's row objects in
-        another order (the time-ordered index over the same rows) gets
-        that frame's columns permuted instead of a second
-        ``from_records`` pass; see :class:`_BuiltRows`.
+        Each distinct query spec is run once per render, through
+        :meth:`DsosDataSource.query`, and its frame is handed to every
+        panel that shares the spec (frames are read-only, so one
+        analysis cannot disturb the next).  A frame is released right
+        after the last panel that reads it.
         """
         specs = [_spec_key(panel.query) for panel in self.panels]
         last_reader = {spec: i for i, spec in enumerate(specs)}
         frames: dict = {}
-        built = None
         out = []
         for i, (panel, spec) in enumerate(zip(self.panels, specs)):
             df = frames.get(spec)
             if df is None:
-                df, built = _BuiltRows.frame(source.rows(**panel.query), built)
-                frames[spec] = df
+                df = frames[spec] = source.query(**panel.query)
             if last_reader[spec] == i:
                 del frames[spec]
             payload = panel.analysis(df)
@@ -118,59 +119,6 @@ class Dashboard:
                 )
             )
         return out
-
-
-class _BuiltRows:
-    """The rows behind the frame a render built last, and its columns.
-
-    ``from_records`` picks a column's dtype from the column's set of
-    cell types and whether its values overflow int64: both depend only
-    on the multiset of values.  So when new rows are the same row
-    objects in another order, indexing each built column with that
-    permutation gives exactly ``from_records(rows)``, dtypes included.
-    The row list is held so its objects stay alive and no new row can
-    take one of their ids.  The columns, not the frame, are held,
-    and are handed over one at a time, so the built frame's memory is
-    freed as the derived one fills.
-    """
-
-    __slots__ = ("rows", "sorted_ids", "id_order", "cols")
-
-    def __init__(self, rows: list):
-        ids = np.fromiter(map(id, rows), np.uintp, len(rows))
-        self.rows = rows
-        self.id_order = np.argsort(ids)
-        self.sorted_ids = ids[self.id_order]
-        self.cols: dict | None = None
-
-    @classmethod
-    def frame(cls, rows: list, built: "_BuiltRows | None"):
-        """``(frame of rows, _BuiltRows of rows)``: the frame is derived
-        from ``built`` when ``rows`` permute its row objects, else built
-        by ``from_records``."""
-        new = cls(rows)
-        perm = new._permutation_of(built)
-        if perm is None:
-            df = rows_to_dataframe(rows)
-            new.cols = {name: df.col(name) for name in df.columns}
-            return df, new
-        cols = built.cols
-        new.cols = {name: cols.pop(name)[perm] for name in list(cols)}
-        return DataFrame(new.cols), new
-
-    def _permutation_of(self, built: "_BuiltRows | None"):
-        """``perm`` with ``self.rows[i] is built.rows[perm[i]]`` when the
-        two lists hold the same row objects (as multisets: equal sorted
-        ids pair each object with itself, so a row listed twice in both
-        maps to one of its own copies) and their first rows name the
-        same columns in the same order, else None."""
-        if (built is None
-                or not np.array_equal(self.sorted_ids, built.sorted_ids)
-                or list(self.rows[0]) != list(built.cols)):
-            return None
-        perm = np.empty_like(self.id_order)
-        perm[self.id_order] = built.id_order
-        return perm
 
 
 def _spec_key(query: dict) -> str:

@@ -1,0 +1,215 @@
+"""Differential pin: a query's column frame equals ``from_records`` of its rows.
+
+:meth:`QueryResult.frame` builds a DataFrame from each shard's typed
+columns (folded lazily from the shard's objects) instead of
+transposing the row dicts.  It must equal
+``DataFrame.from_records(result.rows)`` exactly: the same columns in
+the same order, the same dtype, and the same ``(type, repr)`` for
+every cell, or raise the same exception type.
+
+Hypothesis draws flat clusters of 1–4 daemons and 2×2 replicated
+clusters; objects whose unindexed cells are ints, ints beyond int64,
+floats (NaN and ±inf included), bools, strs, None and ``np.float64``,
+with each column's cell kinds redrawn per ingest chunk; ingest
+interleaved with queries, so folds happen mid-stream; replica crashes
+(torn WAL tails replay as JSON, keys sorted), recoveries and repairs;
+prefix, range, ``where`` and ``limit`` specs; and, on flat clusters,
+unvalidated objects with a missing or an extra attribute.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.dsos import Attr, DsosCluster, Schema
+from repro.webservices import DataFrame
+from repro.webservices.dataframe import DataFrameError
+
+_SCHEMA = Schema(
+    "ev",
+    [
+        Attr("job_id", "int"),
+        Attr("rank", "int"),
+        Attr("timestamp", "float"),
+        Attr("op", "string"),
+        Attr("a", "float"),
+        Attr("b", "float"),
+        Attr("c", "string"),
+    ],
+    {
+        "job_rank_time": ("job_id", "rank", "timestamp"),
+        "time_job": ("timestamp", "job_id"),
+    },
+)
+
+#: Indexed cells: small domains, so keys repeat within and across
+#: shards.  A chunk's timestamps are these offsets past twice its
+#: ordinal, so time ranges and limits can select earlier chunks alone.
+_KEYED = {
+    "job_id": st.integers(0, 3),
+    "rank": st.integers(0, 2),
+    "timestamp": st.sampled_from([0, 0.5, 1, 1.0]),
+    "op": st.sampled_from(["open", "read", "write"]),
+}
+
+#: Query-side timestamps, spanning the first chunks.
+_QUERY_KEYS = {
+    **_KEYED,
+    "timestamp": st.sampled_from([0, 0.5, 1, 2, 2.5, 4, 6.0, 8, 10.5, 14]),
+}
+
+#: Unindexed cell kinds a chunk draws its columns from.
+_CELLS = [
+    st.integers(-(2**40), 2**40),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7, 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+]
+
+_WILD = ("a", "b", "c")
+
+
+def _keyed(draw, ordinal: int) -> dict:
+    obj = {name: draw(cell) for name, cell in _KEYED.items()}
+    obj["timestamp"] += 2 * ordinal
+    return obj
+
+
+def _chunk(draw, ordinal: int) -> list:
+    """1–6 objects; each unindexed column draws its cells from one or
+    two kinds chosen for this chunk, so kinds change between chunks."""
+    n = draw(st.integers(1, 6))
+    kinds = {}
+    for name in _WILD:
+        n_kinds = draw(st.sampled_from([1, 1, 2]))
+        kinds[name] = st.one_of(*(_CELLS[k] for k in draw(st.lists(
+            st.sampled_from(range(len(_CELLS))),
+            min_size=n_kinds, max_size=n_kinds, unique=True,
+        ))))
+    objs = []
+    for _ in range(n):
+        obj = _keyed(draw, ordinal)
+        for name in _WILD:
+            obj[name] = draw(kinds[name])
+        objs.append(obj)
+    return objs
+
+
+def _odd_object(draw, ordinal: int) -> dict:
+    """An unvalidated object without exactly the schema's attributes."""
+    obj = _keyed(draw, ordinal)
+    for name in _WILD:
+        obj[name] = 1.5
+    if draw(st.booleans()):
+        del obj[draw(st.sampled_from(_WILD))]
+    else:
+        obj["extra"] = draw(_CELLS[0])
+    return obj
+
+
+@st.composite
+def _key_part(draw, index):
+    attrs = _SCHEMA.indices[index]
+    n = draw(st.integers(1, len(attrs)))
+    return tuple(draw(_QUERY_KEYS[a]) for a in attrs[:n])
+
+
+@st.composite
+def _query(draw, cluster):
+    index = draw(st.sampled_from(sorted(_SCHEMA.indices)))
+    q = cluster.query(_SCHEMA.name, index)
+    shape = draw(st.sampled_from(["all", "prefix", "range"]))
+    if shape == "prefix":
+        q.prefix(*draw(_key_part(index)))
+    elif shape == "range":
+        q.range(draw(st.none() | _key_part(index)),
+                draw(st.none() | _key_part(index)))
+    for _ in range(draw(st.integers(0, 2))):
+        attr = draw(st.sampled_from(["job_id", "rank", "timestamp", "op"]))
+        op = draw(st.sampled_from(["==", "!=", "<", "<=", ">", ">="]))
+        q.where(attr, op, draw(_QUERY_KEYS[attr]))
+    if draw(st.booleans()):
+        q.limit(draw(st.integers(1, 12)))
+    if cluster.sharded and draw(st.booleans()):
+        q.quorum()
+    return q
+
+
+def _cells(arr):
+    return [(type(v), repr(v)) for v in arr.tolist()]
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return None, type(exc)
+
+
+def _assert_frame_is_from_records(result):
+    got, got_exc = _outcome(result.frame)
+    if not result.rows:
+        assert got_exc is DataFrameError
+        return
+    want, want_exc = _outcome(lambda: DataFrame.from_records(result.rows))
+    assert got_exc is want_exc
+    if want is None:
+        return
+    assert got.columns == want.columns
+    for name in want.columns:
+        g, w = got.col(name), want.col(name)
+        assert g.dtype == w.dtype, name
+        assert _cells(g) == _cells(w), name
+        assert not g.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(topology=st.sampled_from(["flat", "replicated"]), data=st.data())
+def test_column_frame_equals_from_records_of_the_rows(topology, data):
+    if topology == "flat":
+        cluster = DsosCluster("p", n_daemons=data.draw(st.integers(1, 4)))
+    else:
+        cluster = DsosCluster("p", shards=2, replication=2)
+    cluster.attach_schema(_SCHEMA)
+    steps = ["insert", "insert_many", "query", "query", "query"]
+    if topology == "flat":
+        steps.append("odd")
+    else:
+        steps += ["crash", "recover", "repair"]
+    for ordinal in range(data.draw(st.integers(1, 16))):
+        step = data.draw(st.sampled_from(steps))
+        if step.startswith("insert"):
+            objs = _chunk(data.draw, ordinal)
+            if step == "insert":
+                for obj in objs:
+                    cluster.insert(_SCHEMA.name, obj, validate=False)
+            else:
+                cluster.insert_many(_SCHEMA.name, objs, validate=False)
+            if data.draw(st.booleans()):
+                # A whole-store frame folds every shard here, so the
+                # next chunk lands in a fold of its own.
+                _assert_frame_is_from_records(
+                    cluster.query(_SCHEMA.name, "time_job").execute()
+                )
+        elif step == "odd":
+            cluster.insert(_SCHEMA.name, _odd_object(data.draw, ordinal),
+                           validate=False)
+        elif step == "query":
+            _assert_frame_is_from_records(
+                data.draw(_query(cluster)).execute()
+            )
+        else:
+            replicas = cluster.replica_sets[data.draw(st.integers(0, 1))]
+            target = replicas[data.draw(st.integers(0, 1))]
+            peer = replicas[1] if target is replicas[0] else replicas[0]
+            if step == "crash" and target.alive and peer.alive:
+                cluster.crash_daemon(target,
+                                     tear_tail=data.draw(st.booleans()))
+            elif step == "recover" and not target.alive:
+                cluster.recover_daemon(target)
+            elif step == "repair" and target.alive:
+                cluster.repair_daemon(target)
+    _assert_frame_is_from_records(cluster.query(_SCHEMA.name,
+                                                "time_job").execute())

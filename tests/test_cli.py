@@ -694,10 +694,12 @@ def test_repro_cli_store_modes_and_lane_flags_are_usage_errors(capsys):
         assert message in capsys.readouterr().err
 
 
-def _stub_bench(monkeypatch, tmp_path, speedup):
+def _stub_bench(monkeypatch, tmp_path, speedup, quick_speedup=None):
     """``repro bench`` over a stubbed two-lane run and a tmp result file
-    holding a committed speedup of 4.0; returns the file and the
-    ``quick`` flags the stub was called with."""
+    holding committed speedups of 8.0 (full campaign) and 4.0 (quick
+    campaign); the stub measures ``speedup`` on the campaign it is
+    asked for, or ``quick_speedup`` on the quick one when given.
+    Returns the file and the ``quick`` flags the stub was called with."""
     import json
 
     from repro.experiments import bench
@@ -707,14 +709,18 @@ def _stub_bench(monkeypatch, tmp_path, speedup):
     def fake(quick=False):
         calls.append(quick)
         lane = {"wall_s": 1.0, "events_per_sec": 10.0, "engine_events": 5}
+        measured = speedup
+        if quick and quick_speedup is not None:
+            measured = quick_speedup
         return {
             "campaign": {"n_families": 80 if quick else 400, "seed": 1},
             "slow": lane, "fast": dict(lane),
-            "speedup_events_per_sec": speedup,
+            "speedup_events_per_sec": measured,
         }
 
     path = tmp_path / "BENCH_pipeline.json"
-    path.write_text(json.dumps({"speedup_events_per_sec": 4.0}) + "\n")
+    path.write_text(json.dumps({"speedup_events_per_sec": 8.0,
+                                "quick_speedup_events_per_sec": 4.0}) + "\n")
     monkeypatch.setattr(bench, "pipeline_benchmark", fake)
     monkeypatch.setattr(bench, "DEFAULT_RESULT_PATH", path)
     return path, calls
@@ -737,19 +743,26 @@ def test_bench_quick_prints_and_never_rewrites_the_record(
 def test_bench_full_run_is_the_only_writer(monkeypatch, tmp_path, capsys):
     import json
 
-    path, calls = _stub_bench(monkeypatch, tmp_path, speedup=3.3)
+    path, calls = _stub_bench(monkeypatch, tmp_path, speedup=3.3,
+                              quick_speedup=2.7)
     repro_main(["bench"])
-    assert calls == [False]
-    assert f"wrote {path}" in capsys.readouterr().out
+    # The full campaign, then the quick one for the quick reference.
+    assert calls == [False, True]
+    out = capsys.readouterr().out
+    assert "quick-campaign speedup (the --quick --check reference): 2.70x" \
+        in out
+    assert f"wrote {path}" in out
     written = json.loads(path.read_text())
     assert written["campaign"]["n_families"] == 400
     assert written["speedup_events_per_sec"] == 3.3
+    assert written["quick_speedup_events_per_sec"] == 2.7
 
 
 @pytest.mark.parametrize("speedup, code", [(3.0, None), (2.9, 1)])
 def test_bench_quick_check_reads_the_record_without_writing(
     monkeypatch, tmp_path, capsys, speedup, code
 ):
+    # Gated against the committed quick ratio (4.0), not the full 8.0.
     path, calls = _stub_bench(monkeypatch, tmp_path, speedup=speedup)
     committed = path.read_bytes()
     if code is None:
@@ -760,6 +773,29 @@ def test_bench_quick_check_reads_the_record_without_writing(
         with pytest.raises(SystemExit) as exc:
             repro_main(["bench", "--quick", "--check"])
         assert exc.value.code == code
-        assert "FAIL: speedup_events_per_sec" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL: speedup_events_per_sec" in out
+        assert "committed quick_speedup_events_per_sec 4.00x" in out
     assert calls == [True]
+    assert path.read_bytes() == committed
+
+
+@pytest.mark.parametrize("speedup, code", [(6.0, None), (5.9, 1)])
+def test_bench_full_check_gates_against_the_full_record(
+    monkeypatch, tmp_path, capsys, speedup, code
+):
+    # Gated against the committed full ratio (8.0), not the quick 4.0.
+    path, calls = _stub_bench(monkeypatch, tmp_path, speedup=speedup)
+    committed = path.read_bytes()
+    if code is None:
+        repro_main(["bench", "--check"])
+        assert "OK: lane speedup within 25% of committed" in \
+            capsys.readouterr().out
+    else:
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["bench", "--check"])
+        assert exc.value.code == code
+        assert "committed speedup_events_per_sec 8.00x" in \
+            capsys.readouterr().out
+    assert calls == [False]
     assert path.read_bytes() == committed

@@ -4,8 +4,9 @@
 the frame to every panel that shares it.  The pins here: the rendered
 panels equal rendering each panel alone (payloads, numpy arrays
 included), ``Query.execute`` runs once per distinct spec, a shared
-frame cannot be written through, and an empty query fails at the same
-panel as before.
+frame cannot be written through, an empty query fails at the same
+panel as before, and every frame comes from the store's columns yet
+equals ``from_records`` of its rows.
 """
 
 import numpy as np
@@ -213,11 +214,11 @@ def test_empty_query_fails_at_the_same_panel(hmmer_world):
     assert reached == ["present 1"]
 
 
-# ------------------------------------------------------- derived frames
+# ------------------------------------------------------- column frames
 #
-# Within one render, a spec whose rows are the row objects behind the
-# last built frame in another order gets that frame's columns permuted
-# instead of a second ``from_records`` pass.
+# A render's frames come from the store's typed shard columns
+# (``QueryResult.frame``), not from a transpose of the row dicts, and
+# each equals ``from_records`` of the rows its spec returns.
 
 
 #: ``from_records`` itself, so the checks below stay out of the counts.
@@ -234,19 +235,6 @@ def _count_from_records(monkeypatch) -> list:
 
     monkeypatch.setattr(DataFrame, "from_records", classmethod(counted))
     return calls
-
-
-class _RecordingSource(DsosDataSource):
-    """Notes the rows each query returned, in call order."""
-
-    def __init__(self, client):
-        super().__init__(client)
-        self.seen = []
-
-    def rows(self, **query):
-        rows = super().rows(**query)
-        self.seen.append(rows)
-        return rows
 
 
 def _capturing(board, frames):
@@ -297,116 +285,32 @@ _WORLDS = ["hmmer_world", "mpiio_world"]
 
 @pytest.mark.parametrize("world_name", _WORLDS)
 @pytest.mark.parametrize("whole_store", [False, True])
-def test_figure_board_builds_one_frame_per_render(request, monkeypatch,
-                                                  world_name, whole_store):
+def test_board_transposes_no_rows_scans_twice(
+    request, monkeypatch, world_name, whole_store
+):
     world, jobs = request.getfixturevalue(world_name)
     board = _figure_board(None if whole_store else jobs[0])
     built = _count_from_records(monkeypatch)
     executes = _count_executes(monkeypatch)
     for _ in range(2):
-        built.clear()
         executes.clear()
         board.render(DsosDataSource(world.dsos))
-        assert len(built) == 1
         assert executes == ["job_rank_time", "job_time_rank"]
+    assert built == []
 
 
 @pytest.mark.parametrize("world_name", _WORLDS)
 @pytest.mark.parametrize("whole_store", [False, True])
-def test_derived_frame_equals_from_records_of_its_rows(request, monkeypatch,
-                                                       world_name,
-                                                       whole_store):
+def test_panel_frames_equal_from_records(
+    request, world_name, whole_store
+):
     world, jobs = request.getfixturevalue(world_name)
     frames = []
-    source = _RecordingSource(world.dsos)
-    board = _capturing(_figure_board(None if whole_store else jobs[1]),
-                       frames)
-    built = _count_from_records(monkeypatch)
-    board.render(source)
-    assert len(built) == 1
-    by_rank, by_time = source.seen
-    assert len(by_time) == len(by_rank) > 0
-    assert sorted(map(id, by_time)) == sorted(map(id, by_rank))
-    if world_name == "mpiio_world":
-        assert [id(r) for r in by_time] != [id(r) for r in by_rank]
-    assert frames[0] is frames[1] is frames[2]
-    assert frames[3] is frames[4]
-    _assert_frame_is_from_records(frames[0], by_rank)
-    _assert_frame_is_from_records(frames[3], by_time)
-
-
-def _stub_rows() -> list:
-    """Rows whose columns take every dtype rule: int, float, int/float
-    mix, str, None, bool and an int beyond int64."""
-    return [
-        {"job_id": 7, "op": op, "seq": i, "dur": 0.5 * i,
-         "mix": i if i % 2 else float(i), "tag": None if i == 3 else "t",
-         "flag": i % 2 == 0, "hash": 2**64 + i if i == 4 else i}
-        for i, op in enumerate(["open", "read", "write", "read", "write",
-                                "close"])
-    ]
-
-
-class _StubSource:
-    """Serves fixed row lists by index name."""
-
-    def __init__(self, by_index):
-        self.by_index = by_index
-
-    def rows(self, index, **_):
-        return self.by_index[index]
-
-
-def _render_stub(by_time, monkeypatch):
-    by_rank = _stub_rows()
-    frames = []
-    board = _capturing(Dashboard("stub", [
-        Panel("by rank", {"index": "rank"}, len),
-        Panel("by time", {"index": "time"}, len),
-    ]), frames)
-    built = _count_from_records(monkeypatch)
-    rendered = board.render(
-        _StubSource({"rank": by_rank, "time": by_time(by_rank)})
-    )
-    _assert_frame_is_from_records(frames[0], by_rank)
-    return built, frames[1], rendered
-
-
-def test_stub_permutation_is_derived_exactly(monkeypatch):
-    order = [5, 0, 3, 1, 4, 2]
-    built, frame, rendered = _render_stub(
-        lambda rows: [rows[i] for i in order], monkeypatch)
-    assert len(built) == 1
-    _assert_frame_is_from_records(frame, [_stub_rows()[i] for i in order])
-    assert [p.rows_queried for p in rendered] == [6, 6]
-
-
-def test_row_listed_twice_in_both_lists_is_derived_exactly(monkeypatch):
-    frames = []
-    board = _capturing(Dashboard("stub", [
-        Panel("by rank", {"index": "rank"}, len),
-        Panel("by time", {"index": "time"}, len),
-    ]), frames)
-    rows = _stub_rows()[:5]
-    rows.append(rows[0])
-    by_time = rows[::-1]
-    built = _count_from_records(monkeypatch)
-    board.render(_StubSource({"rank": rows, "time": by_time}))
-    assert len(built) == 1
-    _assert_frame_is_from_records(frames[0], rows)
-    _assert_frame_is_from_records(frames[1], by_time)
-
-
-@pytest.mark.parametrize("swap", ["foreign", "duplicated"])
-def test_equal_length_other_rows_take_from_records(monkeypatch, swap):
-    def by_time(rows):
-        out = rows[::-1]
-        if swap == "foreign":
-            out[2] = dict(out[2], seq=99, dur=-1.0)
-        else:
-            out[2] = out[3]
-        return out
-
-    built, frame, _ = _render_stub(by_time, monkeypatch)
-    assert len(built) == 2
-    _assert_frame_is_from_records(frame, by_time(_stub_rows()))
+    source = DsosDataSource(world.dsos)
+    board = _figure_board(None if whole_store else jobs[1])
+    _capturing(board, frames).render(source)
+    assert len(frames) == len(board.panels)
+    for df, panel in zip(frames, board.panels):
+        rows = source.rows(**panel.query)
+        assert len(df) == len(rows) > 0
+        _assert_frame_is_from_records(df, rows)
