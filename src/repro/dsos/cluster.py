@@ -358,6 +358,20 @@ class DsosCluster:
             self._bump_copies(d.shard_id, record.seq, +1)
         return recovery
 
+    def shard_converged(self, shard: int) -> bool:
+        """True when no live replica of ``shard`` lacks an object a live
+        peer holds, so repairing any of them would pull nothing.
+
+        Copy counts are exact over live replicas, so that is when every
+        object sits on all of them or on none (or fewer than two are
+        live).  Quorum reads check this once per shard instead of
+        repairing every replica.
+        """
+        live = sum(r.alive for r in self.replica_sets[shard])
+        return live < 2 or all(
+            not n or n == live for n in self._copy_hist[shard]
+        )
+
     def repair_daemon(self, daemon) -> list[tuple]:
         """Anti-entropy: pull objects this replica is missing from its
         live peers.  Returns the pulled ``(seq, trace_id)`` pairs."""
@@ -368,14 +382,7 @@ class DsosCluster:
             r for r in self.replica_sets[d.shard_id]
             if r is not d and r.alive
         ]
-        if not peers:
-            return []
-        # Converged shard: copy counts are exact over live replicas, so
-        # when every object sits on all of them or on none, no live peer
-        # holds a seq ``d`` lacks — skip building the union (quorum reads
-        # call this on every replica of every shard they touch).
-        live = len(peers) + 1
-        if all(not n or n == live for n in self._copy_hist[d.shard_id]):
+        if not peers or self.shard_converged(d.shard_id):
             return []
         union: set[int] = set()
         for p in peers:

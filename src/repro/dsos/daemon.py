@@ -55,7 +55,7 @@ def _key_getter(attrs: tuple):
     return itemgetter(*attrs)
 
 
-#: Kinds of a folded shard column (see :meth:`_Shard.columns`).
+#: Kinds of a folded shard column (see :meth:`_Shard.column`).
 INT, FLOAT, TEXT, MIXED = "int", "float", "text", "mixed"
 
 #: Cell types a ``TEXT`` column may hold: no number, and nothing numpy
@@ -84,7 +84,8 @@ def _chunk_column(values: list) -> tuple:
 
 class _Shard:
     """One schema's objects + indices on one daemon, plus the typed
-    columns a frame is taken from (folded lazily, see :meth:`columns`)."""
+    columns a frame is taken from (folded lazily, one attribute at a
+    time, see :meth:`column`)."""
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -98,10 +99,13 @@ class _Shard:
             (self.indices[name], _key_getter(attrs))
             for name, attrs in schema.indices.items()
         ]
-        #: ``name -> (kind, array)`` over ``objects[:_folded]``; None
-        #: once a folded object's keys are not the schema's attributes.
-        self._columns: dict | None = {}
-        self._folded = 0
+        #: ``name -> (kind, array, folded)``: the column over
+        #: ``objects[:folded]``, each attribute with its own watermark.
+        self._columns: dict = {}
+        #: Objects whose key sets :meth:`keys_exact` has checked, and
+        #: whether each of them held exactly the schema's attributes.
+        self._checked = 0
+        self._keys_exact = True
 
     def add(self, obj: dict) -> int:
         oid = len(self.objects)
@@ -122,48 +126,58 @@ class _Shard:
         for index, key_of in self._keyed:
             index.extend_unchecked(list(zip(map(key_of, objs), oids)))
 
-    def columns(self) -> dict | None:
-        """``{attr: (kind, array)}`` over every object, in schema order.
+    def keys_exact(self) -> bool:
+        """True while every object's key set is the schema's attributes
+        (only an unvalidated insert can store one that is not; once
+        False, stays False).
 
-        Objects are append-only, so only those appended since the last
-        call are folded: each column's new cells are typed by
-        :func:`_chunk_column` and appended; a fold whose kind differs
-        from the column's makes the column ``MIXED`` (no array) for
-        good.  A column's kind thus reflects its whole type set, and a
-        selection's type set is a subset of it, so ``array[oids]`` of
-        an ``INT``, ``FLOAT`` or ``TEXT`` column is exactly what
-        ``from_records`` builds from those objects.  Returns None (and
-        stays None) once an object's key set is not the schema's
-        attributes, which only an unvalidated insert can store.
+        Each object is checked once, a batch at a time, without a
+        per-object comparison: when every object has as many keys as
+        the schema has attributes and the union of their keys is the
+        attribute set, each object's keys are exactly that set.
         """
         objs = self.objects
-        if self._columns is None or self._folded == len(objs):
-            return self._columns
-        chunk = objs[self._folded:]
-        self._folded = len(objs)
-        names = self.schema.attrs
-        folded = None
-        if set(map(len, chunk)) == {len(names)}:
-            try:
-                folded = {
-                    name: _chunk_column(list(map(itemgetter(name), chunk)))
-                    for name in names
-                }
-            except KeyError:
-                pass
-        if folded is None:
-            self._columns = None
-            return None
-        columns = self._columns
-        for name, (kind, arr) in folded.items():
-            old = columns.get(name)
-            if old is None:
-                columns[name] = kind, arr
-            elif old[0] != kind or kind == MIXED:
-                columns[name] = MIXED, None
-            else:
-                columns[name] = kind, np.concatenate((old[1], arr))
-        return columns
+        if self._keys_exact and self._checked < len(objs):
+            chunk = objs[self._checked:]
+            self._checked = len(objs)
+            names = self.schema.attrs
+            self._keys_exact = (
+                set(map(len, chunk)) == {len(names)}
+                and set().union(*chunk) == names.keys()
+            )
+        return self._keys_exact
+
+    def column(self, name: str, upto: int) -> tuple:
+        """``(kind, array)`` of attribute ``name`` over at least
+        ``objects[:upto]``, each of which must hold ``name`` (else
+        KeyError, and nothing is folded).
+
+        Objects are append-only, so only those past the attribute's own
+        watermark are folded: their cells are typed by
+        :func:`_chunk_column` and appended; a fold whose kind differs
+        from the column's makes the column ``MIXED`` (no array) for
+        good.  Each kind rule is a test on a type set that holds for a
+        union exactly when it holds for every part (int64 range
+        included), so the kind is the one ``from_records`` would find
+        on all the cells however the folds were cut.  A selection's
+        type set is a subset of it, so ``array[oids]`` of an ``INT``,
+        ``FLOAT`` or ``TEXT`` column is exactly what ``from_records``
+        builds from those objects.
+        """
+        kind, arr, folded = self._columns.get(name, (None, None, 0))
+        if folded >= upto:
+            return kind, arr
+        new_kind, new_arr = _chunk_column(
+            list(map(itemgetter(name), self.objects[folded:upto]))
+        )
+        if kind is None:
+            kind, arr = new_kind, new_arr
+        elif kind != new_kind or kind == MIXED:
+            kind, arr = MIXED, None
+        else:
+            arr = np.concatenate((arr, new_arr))
+        self._columns[name] = kind, arr, upto
+        return kind, arr
 
 
 class Dsosd:

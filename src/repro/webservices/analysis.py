@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.overhead import mean_confidence_interval
-from repro.webservices.dataframe import DataFrame, DataFrameError
+from repro.webservices.dataframe import DataFrame, DataFrameError, _median
 
 __all__ = [
     "count_write_phases",
@@ -98,7 +98,7 @@ def duration_stats_per_job(df: DataFrame) -> dict:
         durations = sub.col("seg_dur")[idx].astype(float)
         out.setdefault(int(job_id), {})[str(op)] = {
             "mean": float(durations.mean()),
-            "median": float(np.median(durations)),
+            "median": float(_median(durations)),
             "max": float(durations.max()),
             "count": int(len(durations)),
             "durations": durations,
@@ -117,7 +117,7 @@ def detect_anomalous_jobs(stats: dict, op: str = "read", factor: float = 10.0) -
     out = []
     for job, mean in means.items():
         others = [m for j, m in means.items() if j != job]
-        baseline = float(np.median(others))
+        baseline = float(_median(others))
         if baseline > 0 and mean > factor * baseline:
             out.append(job)
     return sorted(out)

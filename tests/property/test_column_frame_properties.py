@@ -213,3 +213,145 @@ def test_column_frame_equals_from_records_of_the_rows(topology, data):
                 cluster.repair_daemon(target)
     _assert_frame_is_from_records(cluster.query(_SCHEMA.name,
                                                 "time_job").execute())
+
+
+# ------------------------------------------------ on-demand columns
+#
+# A query's frame builds each column the first time it is read.  The
+# pins below read a drawn subset of the columns in a drawn order,
+# directly or through ``filter``, ``sort_by``, ``head`` or
+# ``groupby(...).apply``, sometimes only after more objects (odd ones
+# included) have landed, and compare each read column with the same
+# read of the eager ``from_records`` frame.  Unvalidated objects may
+# miss, add or swap an attribute; the frame must then fail or fall
+# back at the ``frame()`` call itself.
+
+
+def _misfit_object(draw, ordinal: int) -> dict:
+    """An unvalidated object missing, adding or swapping an attribute
+    (a swap keeps the schema's attribute count with other keys)."""
+    obj = _keyed(draw, ordinal)
+    for name in _WILD:
+        obj[name] = 1.5
+    how = draw(st.sampled_from(["missing", "extra", "swapped"]))
+    if how != "extra":
+        del obj[draw(st.sampled_from(_WILD))]
+    if how != "missing":
+        obj["extra"] = draw(_CELLS[0])
+    return obj
+
+
+#: Columns every stored object holds, with cells a sort and a group-by
+#: accept on every frame (``timestamp`` mixes int and float).
+_SORTABLE = ("job_id", "rank", "timestamp", "op")
+
+
+def _assert_same_cells(g, w, name):
+    assert g.dtype == w.dtype, name
+    assert _cells(g) == _cells(w), name
+    assert not g.flags.writeable
+
+
+def _assert_read_equal(draw, got, want):
+    """Read a drawn subset of ``want``'s columns, in a drawn order,
+    through a drawn view, from both frames, and compare."""
+    assert got.columns == want.columns
+    assert len(got) == len(want)
+    names = draw(st.permutations(want.columns))
+    names = names[: draw(st.integers(1, len(names)))]
+    view = draw(st.sampled_from(["frame", "filter", "sort_by", "head",
+                                 "groupby"]))
+    if view == "filter":
+        mask = draw(st.lists(st.booleans(), min_size=len(want),
+                             max_size=len(want)))
+        got, want = got.filter(np.asarray(mask)), want.filter(np.asarray(mask))
+    elif view == "sort_by":
+        keys = draw(st.lists(st.sampled_from(_SORTABLE), min_size=1,
+                             max_size=2, unique=True))
+        reverse = draw(st.booleans())
+        got = got.sort_by(*keys, reverse=reverse)
+        want = want.sort_by(*keys, reverse=reverse)
+    elif view == "head":
+        n = draw(st.integers(-3, len(want) + 2))
+        got, want = got.head(n), want.head(n)
+    elif view == "groupby":
+        keys = draw(st.lists(st.sampled_from(["job_id", "rank", "op"]),
+                             min_size=1, max_size=2, unique=True))
+        got_groups = got.groupby(*keys).apply(lambda sub: sub)
+        want_groups = want.groupby(*keys).apply(lambda sub: sub)
+        assert list(got_groups) == list(want_groups)
+        for key, sub in want_groups.items():
+            assert len(got_groups[key]) == len(sub)
+            for name in names:
+                _assert_same_cells(got_groups[key].col(name), sub.col(name),
+                                   name)
+        return
+    assert len(got) == len(want)
+    for name in names:
+        _assert_same_cells(got.col(name), want.col(name), name)
+
+
+def _take_frame(result):
+    """``(frame, rows)`` of a query, or None when it has no frame; the
+    frame() call must raise exactly when ``from_records`` does."""
+    got, got_exc = _outcome(result.frame)
+    if not result.rows:
+        assert got_exc is DataFrameError
+        return None
+    _, want_exc = _outcome(lambda: DataFrame.from_records(result.rows))
+    assert got_exc is want_exc
+    return None if got is None else (got, result.rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(topology=st.sampled_from(["flat", "replicated"]), data=st.data())
+def test_columns_read_on_demand_equal_from_records(topology, data):
+    if topology == "flat":
+        cluster = DsosCluster("p", n_daemons=data.draw(st.integers(1, 4)))
+    else:
+        cluster = DsosCluster("p", shards=2, replication=2)
+    cluster.attach_schema(_SCHEMA)
+    steps = ["insert", "insert_many", "query", "query", "query"]
+    if topology == "flat":
+        steps.append("odd")
+    else:
+        steps += ["crash", "recover", "repair"]
+    held = []
+    for ordinal in range(data.draw(st.integers(1, 16))):
+        step = data.draw(st.sampled_from(steps))
+        if step.startswith("insert"):
+            objs = _chunk(data.draw, ordinal)
+            if step == "insert":
+                for obj in objs:
+                    cluster.insert(_SCHEMA.name, obj, validate=False)
+            else:
+                cluster.insert_many(_SCHEMA.name, objs, validate=False)
+        elif step == "odd":
+            cluster.insert(_SCHEMA.name, _misfit_object(data.draw, ordinal),
+                           validate=False)
+        elif step == "query":
+            taken = _take_frame(data.draw(_query(cluster)).execute())
+            if taken is None:
+                continue
+            if data.draw(st.booleans()):
+                # Read it only after the steps still to come.
+                held.append(taken)
+            else:
+                got, rows = taken
+                _assert_read_equal(data.draw, got, DataFrame.from_records(rows))
+        else:
+            replicas = cluster.replica_sets[data.draw(st.integers(0, 1))]
+            target = replicas[data.draw(st.integers(0, 1))]
+            peer = replicas[1] if target is replicas[0] else replicas[0]
+            if step == "crash" and target.alive and peer.alive:
+                cluster.crash_daemon(target,
+                                     tear_tail=data.draw(st.booleans()))
+            elif step == "recover" and not target.alive:
+                cluster.recover_daemon(target)
+            elif step == "repair" and target.alive:
+                cluster.repair_daemon(target)
+    taken = _take_frame(cluster.query(_SCHEMA.name, "time_job").execute())
+    if taken is not None:
+        held.append(taken)
+    for got, rows in held:
+        _assert_read_equal(data.draw, got, DataFrame.from_records(rows))
