@@ -46,13 +46,14 @@ Guard discipline
 ----------------
 
 The spine arms only when the world is *inert*: no fault plan, no retry
-policy, no standby aggregator, no diagnosis engine, no probe scanner,
-no CSV store, single-link routes, fast-lane daemons and store.
+policy, no standby aggregator, no subscriber on the observer hub
+(diagnosis, the flight recorder), no probe scanner, no CSV store,
+single-link routes, fast-lane daemons and store.
 Telemetry may be armed — the spine emits exact hop records.  Any
 mutation that could break the mirror (a daemon failing or turning
 flaky, a link partition/degrade, congestion attach, a subscriber
 joining or leaving a spine bus, samplers starting, a foreign publish
-on the spine's tag, a new ingest observer, a store stall) *de-arms
+on the spine's tag, a hub subscription, a store stall) *de-arms
 first*: queued virtual traffic completes delivery to the pre-mutation
 topology, then the pipeline returns to the per-message path.  De-arm
 is one-way for the mutating scenario and slightly generous — rows a
@@ -290,14 +291,16 @@ class ColumnarSpine:
         cfg = world.config
         if (
             cfg.faults is not None or cfg.retry is not None
-            or cfg.standby_l1 or cfg.diagnosis is not None
-            or cfg.probe is not None or cfg.keep_csv or not cfg.fast_lane
-            or bool(cfg.flightrec)
+            or cfg.standby_l1 or cfg.probe is not None or cfg.keep_csv
+            or not cfg.fast_lane
         ):
+            return False
+        # Diagnosis and the flight recorder subscribe to the hub.
+        if self.env.observers:
             return False
         if world._samplers_running or world._pipeline_samplers_running:
             return False
-        if not store._fast or store._slow or store._observers or store._bus.in_batch:
+        if not store._fast or store._slow or store._bus.in_batch:
             return False
         # Replicated DSOS: quorum acks and per-write sequence numbers
         # are not virtualizable — the express spine only serves the
@@ -347,7 +350,7 @@ class ColumnarSpine:
 
     def _install_hooks(self, daemons, net) -> None:
         """Point every guard-relevant object back at this spine."""
-        targets = [net, *daemons, self.store]
+        targets = [net, *daemons, self.store, self.env.observers]
         for d in daemons:
             targets.append(d.streams)
         for vf in (*self._l0.values(), self._l1):

@@ -153,7 +153,7 @@ class DiagnosisEngine:
             else default_rules(self.config)
         )
         self.incidents = IncidentLog()
-        self.tail = IngestTail(world.store)
+        self.tail = IngestTail(world.env)
         self._series: dict[str, SeriesWindow] = {}
         #: rule name -> SeriesWindow of evaluated values (dashboards).
         self.rule_series: dict[str, SeriesWindow] = {
@@ -162,13 +162,9 @@ class DiagnosisEngine:
         self._active: dict[str, Alert] = {}
         self.ticks = 0
         self._armed = False
-        #: ``cb(engine, now)`` after each evaluation tick (the flight
-        #: recorder snapshots rule windows here).  Host-side observers
-        #: only: callbacks must be read-only and schedule nothing.
-        self.tick_observers: list = []
-        #: ``cb(alert, transition, now)`` on each lifecycle transition
-        #: (``pending`` / ``firing`` / ``resolved``).  Same purity bar.
-        self.transition_observers: list = []
+        hub = world.env.observers
+        self._on_tick = hub.rule_tick
+        self._on_alert = hub.alert
 
     # -- arming --------------------------------------------------------
 
@@ -178,12 +174,6 @@ class DiagnosisEngine:
             raise RuntimeError("diagnosis engine already armed")
         self._armed = True
         self.world.env.every(self.config.eval_period_s, self.tick, weak=True)
-
-    def add_tick_observer(self, callback) -> None:
-        self.tick_observers.append(callback)
-
-    def add_transition_observer(self, callback) -> None:
-        self.transition_observers.append(callback)
 
     # -- sampling ------------------------------------------------------
 
@@ -259,12 +249,8 @@ class DiagnosisEngine:
             ev = rule.evaluate(view)
             self.rule_series[rule.name].append(now, ev.value)
             self._drive(rule, ev, now)
-        for callback in self.tick_observers:
-            callback(self, now)
-
-    def _notify(self, alert: Alert, transition: str, now: float) -> None:
-        for callback in self.transition_observers:
-            callback(alert, transition, now)
+        for callback in self._on_tick:
+            callback(now, self)
 
     def _drive(self, rule, ev, now: float) -> None:
         alert = self._active.get(rule.name)
@@ -275,7 +261,8 @@ class DiagnosisEngine:
                     t_pending=now, threshold=ev.threshold,
                 )
                 self._active[rule.name] = alert
-                self._notify(alert, PENDING, now)
+                for callback in self._on_alert:
+                    callback(now, alert, PENDING)
             alert.observe(ev.value, ev.detail)
             if (
                 alert.state == PENDING
@@ -283,11 +270,13 @@ class DiagnosisEngine:
             ):
                 alert.fire(now)
                 self.incidents.record(alert)
-                self._notify(alert, FIRING, now)
+                for callback in self._on_alert:
+                    callback(now, alert, FIRING)
         elif alert is not None:
             if alert.state == FIRING:
                 alert.resolve(now)
-                self._notify(alert, RESOLVED, now)
+                for callback in self._on_alert:
+                    callback(now, alert, RESOLVED)
             # A pending alert whose condition cleared is hysteresis
             # doing its job: discard silently.
             del self._active[rule.name]
@@ -297,6 +286,3 @@ class DiagnosisEngine:
     def firing(self) -> list:
         """Alerts firing right now."""
         return self.incidents.firing()
-
-    def all_series(self) -> dict[str, SeriesWindow]:
-        return dict(self._series)

@@ -2,10 +2,9 @@
 
 The diagnosis engine cannot wait for a post-run report: it needs to see
 events *land* while the simulation still runs.  :class:`IngestTail`
-registers as an observer on the :class:`~repro.dsos.store_plugin.
-DsosStreamStore` and records, at the simulated instant each message's
-rows are stored, a ``(t, job_id, rank, n_rows)`` entry.  Windowed
-queries over the tail feed the throughput and imbalance rules.
+subscribes to the observer hub's ``stored`` event and records, at the
+simulated instant each message's rows land in DSOS, the message's
+rank.  The windowed per-rank count feeds the imbalance rule.
 
 Observation-only: the tail appends to host-side lists; it draws no
 randomness and schedules nothing, so a tailed run is bit-identical to
@@ -24,43 +23,23 @@ __all__ = ["IngestTail"]
 class IngestTail:
     """Time-ordered record of stored messages, windowed per rank."""
 
-    def __init__(self, store):
-        self.store = store
+    def __init__(self, env):
         self._t: list[float] = []
-        self._entries: list[tuple[float, int, int, int]] = []
+        self._ranks: list[int] = []
         self.messages = 0
-        self.rows = 0
-        store.add_ingest_observer(self._on_stored)
+        env.observers.subscribe(stored=self._on_stored)
 
-    def _on_stored(self, message, n_rows: int) -> None:
-        now = self.store.daemon.env.now
-        parsed = parse_trace_id(message.trace_id) or (-1, -1, -1)
-        self._t.append(now)
-        self._entries.append((now, parsed[0], parsed[1], n_rows))
+    def _on_stored(self, t: float, message, n_rows: int) -> None:
+        parsed = parse_trace_id(message.trace_id)
+        self._t.append(t)
+        self._ranks.append(parsed[1] if parsed else -1)
         self.messages += 1
-        self.rows += n_rows
-
-    # -- windowed queries ----------------------------------------------
-
-    def _window(self, now: float, window_s: float):
-        start = bisect.bisect_left(self._t, now - window_s)
-        end = bisect.bisect_right(self._t, now)
-        return self._entries[start:end]
-
-    def stored_in_window(self, now: float, window_s: float) -> int:
-        """Messages stored within ``(now - window_s, now]``."""
-        return len(self._window(now, window_s))
 
     def rank_counts(self, now: float, window_s: float) -> dict[int, int]:
-        """Stored-message count per rank within the trailing window."""
+        """Stored-message count per rank within ``[now - window_s, now]``."""
+        start = bisect.bisect_left(self._t, now - window_s)
+        end = bisect.bisect_right(self._t, now)
         counts: dict[int, int] = {}
-        for _, _, rank, _ in self._window(now, window_s):
+        for rank in self._ranks[start:end]:
             counts[rank] = counts.get(rank, 0) + 1
-        return counts
-
-    def job_counts(self, now: float, window_s: float) -> dict[int, int]:
-        """Stored-message count per job within the trailing window."""
-        counts: dict[int, int] = {}
-        for _, job, _, _ in self._window(now, window_s):
-            counts[job] = counts.get(job, 0) + 1
         return counts

@@ -99,24 +99,15 @@ class DsosStreamStore:
         self._columnar_plans: dict[int, tuple] = {}
         self._bus = daemon.streams
         self._pending_rows: list[dict] = []
-        #: Live-tail observers: ``cb(message, n_rows)`` called the
+        #: ``stored`` subscribers of the observer hub, called the
         #: instant a message's rows land (repro.diagnosis rides this).
-        #: With no observers the hot path pays one truthiness test —
-        #: observation-only, nothing simulated changes.
-        self._observers: list = []
+        self._on_stored = daemon.env.observers.stored
         daemon.streams.subscribe(tag, self.on_message)
         daemon.streams.add_batch_sink(self._flush_batch)
 
     #: Express-spine back-pointer (set while an armed spine owns this
     #: store's ingest; any guard-relevant mutation de-arms it first).
     _express_spine = None
-
-    def add_ingest_observer(self, callback) -> None:
-        """Register a live tail: ``callback(message, n_rows)`` fires at
-        the simulated instant each message's rows are stored."""
-        if self._express_spine is not None:
-            self._express_spine.on_mutation()
-        self._observers.append(callback)
 
     @staticmethod
     def _compile_row_plan(schema) -> list[tuple]:
@@ -168,12 +159,7 @@ class DsosStreamStore:
             outcome, degraded, n_rows = self._store_replicated(
                 message, self._rows(message, data)
             )
-            self._ingest_hop(message, outcome)
-            if degraded:
-                self._ingest_hop(message, QUORUM_DEGRADED)
-            if outcome is STORED and self._observers:
-                for cb in self._observers:
-                    cb(message, n_rows)
+            self._ingest_hop(message, outcome, n_rows, degraded=degraded)
             return
         if self._fast:
             rows = self._rows(message, data)
@@ -197,10 +183,7 @@ class DsosStreamStore:
                 self.client.cluster.insert(self.schema.name, obj, validate=False)
                 self.objects_stored += 1
                 n_rows += 1
-        self._ingest_hop(message, STORED)
-        if self._observers:
-            for cb in self._observers:
-                cb(message, n_rows)
+        self._ingest_hop(message, STORED, n_rows)
 
     def _rows(self, message, data) -> list[dict]:
         """One admitted message's database rows.
@@ -286,46 +269,47 @@ class DsosStreamStore:
         if not pending:
             return
         if self._sharded:
-            collector = collector_for(self.daemon.env)
-            node = self.daemon.node.name
             for message, rows in pending:
                 outcome, degraded, n_rows = self._store_replicated(message, rows)
-                if message.trace_id and collector is not None:
-                    collector.close_hop(
-                        message.trace_id, STAGE_INGEST, node, outcome
-                    )
-                    if degraded:
-                        collector.hop(
-                            message.trace_id, STAGE_INGEST, node, QUORUM_DEGRADED
-                        )
-                if outcome is STORED and self._observers:
-                    for cb in self._observers:
-                        cb(message, n_rows)
+                self._ingest_hop(
+                    message, outcome, n_rows, degraded=degraded, opened=True
+                )
             return
         all_rows = [row for _, rows in pending for row in rows]
         if all_rows:
             self.client.cluster.insert_many(
                 self.schema.name, all_rows, validate=False
             )
-        collector = collector_for(self.daemon.env)
-        node = self.daemon.node.name
         for message, rows in pending:
             self.objects_stored += len(rows)
-            if message.trace_id and collector is not None:
-                collector.close_hop(message.trace_id, STAGE_INGEST, node, STORED)
-            if self._observers:
-                for cb in self._observers:
-                    cb(message, len(rows))
+            self._ingest_hop(message, STORED, len(rows), opened=True)
 
-    def _ingest_hop(self, message, outcome: str) -> None:
-        """Terminal telemetry hop: the message either landed or died here."""
-        if not message.trace_id:
-            return
-        collector = collector_for(self.daemon.env)
-        if collector is not None:
-            collector.hop(
-                message.trace_id, STAGE_INGEST, self.daemon.node.name, outcome
-            )
+    def _ingest_hop(
+        self, message, outcome: str, n_rows: int = 0, *,
+        degraded: bool = False, opened: bool = False,
+    ) -> None:
+        """Terminal hop: the message either landed or died here.
+
+        Closes the ingest hop a slow episode ``opened``, adds the
+        ``quorum_degraded`` hop of a ``degraded`` write, then hands a
+        stored message to the hub's ``stored`` subscribers.
+        """
+        env = self.daemon.env
+        trace_id = message.trace_id
+        if trace_id:
+            collector = collector_for(env)
+            if collector is not None:
+                node = self.daemon.node.name
+                if opened:
+                    collector.close_hop(trace_id, STAGE_INGEST, node, outcome)
+                else:
+                    collector.hop(trace_id, STAGE_INGEST, node, outcome)
+                if degraded:
+                    collector.hop(trace_id, STAGE_INGEST, node, QUORUM_DEGRADED)
+        if outcome is STORED and self._on_stored:
+            t = env.now
+            for callback in self._on_stored:
+                callback(t, message, n_rows)
 
     def _flatten_fast(self, data: dict) -> list[dict]:
         """Row-plan flatten: same objects as :meth:`_flatten`, with the

@@ -255,10 +255,9 @@ class World:
             self.fault_injector = FaultInjector(self, config.faults)
             self.fault_injector.arm()
 
-        # Black-box flight recorder: armed after the fault injector (so
-        # the applied-fault feed exists to observe) and before the
-        # express spine, whose arming guard must see the recorder's
-        # store ingest observer and refuse to virtualize.
+        # Black-box flight recorder: armed before the express spine,
+        # whose arming guard must see the recorder's hub subscription
+        # and refuse to virtualize.
         self.flight_recorder = None
         if config.flightrec:
             from repro.telemetry.flightrec import (

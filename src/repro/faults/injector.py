@@ -46,10 +46,9 @@ class FaultInjector:
         self.world = world
         self.plan = plan
         self.applied: list[AppliedFault] = []
-        #: ``cb(applied_fault)`` fired as each log line lands (the
-        #: flight recorder's ground-truth feed).  Observers must be
-        #: read-only host-side appends — they run inside fault procs.
-        self.observers: list = []
+        #: ``fault`` subscribers of the observer hub, fired as each log
+        #: line lands (the flight recorder's ground-truth feed).
+        self._on_fault = world.env.observers.fault
         self._rng = None
         self._armed = False
 
@@ -88,14 +87,11 @@ class FaultInjector:
             elif isinstance(fault, FlakyTransport):
                 self.world.env.process(self._flaky_proc(fault))
 
-    def add_observer(self, callback) -> None:
-        self.observers.append(callback)
-
     def _log(self, kind: str, detail: str) -> None:
         fault = AppliedFault(self.world.env.now, kind, detail)
         self.applied.append(fault)
-        for callback in self.observers:
-            callback(fault)
+        for callback in self._on_fault:
+            callback(fault.t, fault)
 
     def _resolve(self, target: str):
         """Map a plan target to a daemon of the world's fabric."""

@@ -14,6 +14,7 @@ import heapq
 from typing import Generator, Iterable, Optional
 
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.observers import Observers
 from repro.sim.process import Process
 
 __all__ = ["Environment", "SimulationError"]
@@ -41,6 +42,8 @@ class Environment:
         self._strong_pending = 0  # queued events that keep the sim alive
         self._active_process: Optional[Process] = None
         self._horizon = float("inf")  # numeric run(until=) ceiling
+        #: The observer hub (:mod:`repro.sim.observers`).
+        self.observers = Observers()
 
     # -- clock ---------------------------------------------------------
 

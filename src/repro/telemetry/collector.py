@@ -70,11 +70,9 @@ class TraceCollector:
         #: ``(e2e_latency_s, trace_id)`` of the slowest stored message
         #: seen so far — the live exemplar diagnosis rules cite.
         self.slowest_stored: tuple[float, str] | None = None
-        #: ``cb(trace_id, stage, node, outcome, t)`` fired for hops with
-        #: a recovery outcome (replay, failover, dedup, quorum degrade).
-        #: Empty on a plain collector so the hot path stays one falsy
-        #: check; observers must be read-only host-side appends.
-        self._recovery_observers: list = []
+        #: ``recovery`` subscribers of the observer hub: hops with a
+        #: recovery outcome (replay, failover, dedup, quorum degrade).
+        self._on_recovery = env.observers.recovery
 
     # -- trace lifecycle -----------------------------------------------
 
@@ -138,9 +136,9 @@ class TraceCollector:
             trace = self._trace(trace_id, t_in)
         record = HopRecord(stage, node, t_in, t_out, outcome)
         trace.hops.append(record)
-        if self._recovery_observers and outcome in RECOVERY_OUTCOMES:
-            for callback in self._recovery_observers:
-                callback(trace_id, stage, node, outcome, t_out)
+        if self._on_recovery and outcome in RECOVERY_OUTCOMES:
+            for callback in self._on_recovery:
+                callback(t_out, trace_id, stage, node, outcome)
         if t_out > t_in:
             hist = self.histograms.get(stage)
             if hist is None:
@@ -152,11 +150,6 @@ class TraceCollector:
             if self.slowest_stored is None or e2e > self.slowest_stored[0]:
                 self.slowest_stored = (e2e, trace_id)
         return record
-
-    def add_recovery_observer(self, callback) -> None:
-        """Subscribe to recovery-outcome hops (the flight recorder's
-        feed).  Purity bar: callbacks observe, they never perturb."""
-        self._recovery_observers.append(callback)
 
     def open_hop(self, trace_id: str, stage: str, node: str) -> None:
         """Mark a hop's entry time (e.g. enqueue into an outbox)."""

@@ -35,7 +35,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.telemetry.trace import QUORUM_DEGRADED, STORED
+from repro.telemetry.trace import QUORUM_DEGRADED
 
 __all__ = [
     "BundleLog",
@@ -377,25 +377,18 @@ class FlightRecorder:
     # -- arming --------------------------------------------------------
 
     def arm(self) -> None:
-        """Install every observer hook and the weak recorder tick.
-
-        Must run after the fault injector is built (its applied-log
-        observer) and before the express spine (whose arming guard
-        must see the recorder's store ingest observer).
-        """
+        """Subscribe to the observer hub and start the weak recorder
+        tick.  An event whose producer the world lacks never fires."""
         if self._armed:
             raise RuntimeError("flight recorder already armed")
         self._armed = True
-        world = self.world
-        world.env.every(self.config.tick_period_s, self.tick, weak=True)
-        world.store.add_ingest_observer(self._on_stored)
-        if world.telemetry is not None:
-            world.telemetry.add_recovery_observer(self._on_recovery)
-        if world.diagnosis is not None:
-            world.diagnosis.add_transition_observer(self._on_alert)
-            world.diagnosis.add_tick_observer(self._on_diagnosis_tick)
-        if world.fault_injector is not None:
-            world.fault_injector.add_observer(self._on_fault)
+        env = self.world.env
+        env.every(self.config.tick_period_s, self.tick, weak=True)
+        env.observers.subscribe(
+            stored=self._on_stored, recovery=self._on_recovery,
+            alert=self._on_alert, rule_tick=self._on_diagnosis_tick,
+            fault=self._on_fault,
+        )
 
     def _rel(self, t: float) -> float:
         return t - self.world.config.epoch
@@ -425,7 +418,7 @@ class FlightRecorder:
 
     # -- observer hooks ------------------------------------------------
 
-    def _on_alert(self, alert, transition: str, now: float) -> None:
+    def _on_alert(self, now: float, alert, transition: str) -> None:
         self._record("alerts", now, {
             "event": transition,
             "rule": alert.rule,
@@ -437,7 +430,7 @@ class FlightRecorder:
         if transition == "firing":
             self._trigger(now, "alert_firing", alert.rule, alert.rule)
 
-    def _on_diagnosis_tick(self, engine, now: float) -> None:
+    def _on_diagnosis_tick(self, now: float, engine) -> None:
         self._record("rules", now, {
             "event": "windows",
             "values": {
@@ -446,26 +439,23 @@ class FlightRecorder:
             },
         })
 
-    def _on_stored(self, message, n_rows: int) -> None:
-        trace_id = getattr(message, "trace_id", "")
+    def _on_stored(self, t: float, message, n_rows: int) -> None:
+        trace_id = message.trace_id
         e2e = None
         collector = self.world.telemetry
         if collector is not None and trace_id:
             trace = collector.traces.get(trace_id)
             if trace is not None:
-                for hop in reversed(trace.hops):
-                    if hop.outcome == STORED:
-                        e2e = hop.t_out - trace.t_begin
-                        break
-        self._record("spans", self.world.env.now, {
+                e2e = t - trace.t_begin
+        self._record("spans", t, {
             "event": "stored",
             "trace": trace_id,
             "rows": n_rows,
             "e2e_s": e2e,
         })
 
-    def _on_recovery(self, trace_id: str, stage: str, node: str,
-                     outcome: str, t: float) -> None:
+    def _on_recovery(self, t: float, trace_id: str, stage: str, node: str,
+                     outcome: str) -> None:
         self._record("recovery", t, {
             "event": outcome,
             "trace": trace_id,
@@ -475,13 +465,13 @@ class FlightRecorder:
         if outcome == QUORUM_DEGRADED:
             self._trigger(t, "quorum_degraded", node, "under_replication")
 
-    def _on_fault(self, fault) -> None:
-        self._record("faults", fault.t, {
+    def _on_fault(self, t: float, fault) -> None:
+        self._record("faults", t, {
             "event": fault.kind,
             "detail": fault.detail,
         })
         if fault.kind == "store_crash":
-            self._trigger(fault.t, "store_crash", fault.detail,
+            self._trigger(t, "store_crash", fault.detail,
                           "under_replication")
 
     # -- the recorder tick ---------------------------------------------

@@ -190,6 +190,22 @@ def test_slow_store_episode_dearms_the_spine():
     assert world.store.slow_pending == published > 0
 
 
+def test_stored_subscription_dearms_the_spine():
+    """A ``stored`` observer needs per-message landings: subscribing one
+    after the spine armed de-arms it before any row goes express, and
+    every message still lands once, in front of the observer."""
+    landed = []
+    world, result = _hmmer_campaign(
+        lambda w: w.env.observers.subscribe(
+            stored=lambda t, message, n_rows: landed.append(message.trace_id))
+    )
+    assert world.spine.stats.dearms == 1 and world.spine.stats.rows == 0
+    published = result.connector.stats.messages_published
+    assert published > 0
+    assert len(landed) == len(set(landed)) == published
+    assert world.fabric.l2.streams.stats.delivered == published
+
+
 def test_columnar_requires_fast_lane():
     """``columnar`` survives only as a keyword that must agree with
     the lane; it is not a field and is stored nowhere.  The connector

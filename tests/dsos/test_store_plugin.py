@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.apps import MpiIoTest
 from repro.cluster import Cluster, ClusterSpec
+from repro.core import ConnectorConfig
 from repro.dsos import DARSHAN_DATA_SCHEMA, DsosClient, DsosCluster, DsosStreamStore
+from repro.experiments import World, WorldConfig, run_job
+from repro.faults import FaultPlan, SlowStore
 from repro.ldms import Ldmsd
 from repro.sim import Environment, RngRegistry
+from repro.telemetry.trace import STAGE_INGEST, STORED
 
 TAG = "darshanConnector"
 
@@ -111,3 +116,38 @@ def test_store_multiple_segments_multiple_objects(env, daemon, client):
     daemon.publish_now(TAG, msg)
     assert store.objects_stored == 2
     assert client.count("darshan_data") == 2
+
+
+@pytest.mark.parametrize("replicas", [1, 2], ids=["flat", "2x2"])
+@pytest.mark.parametrize("fast_lane", [True, False], ids=["fast", "slow"])
+def test_stored_instant_is_the_ingest_landing(fast_lane, replicas):
+    """Each ``stored`` callback's ``t`` is the ``t_out`` of its message's
+    STORED ingest hop, on both lanes, flat and replicated, including
+    the messages a slow-store episode deferred and then flushed."""
+    world = World(WorldConfig(
+        seed=5, quiet=True, n_compute_nodes=2, telemetry=True,
+        fast_lane=fast_lane, dsos_shards=replicas, dsos_replication=replicas,
+        faults=FaultPlan((SlowStore(at=0.1, duration=0.4),)),
+    ))
+    landed = []
+    world.env.observers.subscribe(
+        stored=lambda t, message, n_rows: landed.append((t, message.trace_id))
+    )
+    app = MpiIoTest(n_nodes=2, ranks_per_node=2, iterations=8,
+                    block_size=2**20, collective=False,
+                    sync_per_iteration=False)
+    run_job(world, app, "nfs", connector_config=ConnectorConfig(),
+            inter_job_gap_s=0.0)
+    traces = world.telemetry.traces
+    stored_hops = {
+        trace_id: [h for h in trace.hops
+                   if h.stage == STAGE_INGEST and h.outcome == STORED]
+        for trace_id, trace in traces.items()
+    }
+    assert len(landed) == sum(1 for hops in stored_hops.values() if hops) > 0
+    deferred = 0
+    for t, trace_id in landed:
+        hops = stored_hops[trace_id]
+        assert [hop.t_out for hop in hops] == [t]
+        deferred += hops[0].t_in < hops[0].t_out
+    assert deferred > 0  # the episode's flush is covered
