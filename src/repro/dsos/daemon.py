@@ -46,9 +46,10 @@ class StoreDownError(RuntimeError):
 
 
 def _key_getter(attrs: tuple):
-    """``obj -> key`` equal to :meth:`~repro.dsos.schema.Schema.key_for`
-    for an index over ``attrs`` (an ``itemgetter`` over several attrs
-    already yields the tuple; one attr needs the 1-tuple built)."""
+    """``obj -> tuple`` of its values of ``attrs``: for an index over
+    ``attrs``, the key :meth:`~repro.dsos.schema.Schema.key_for` gives
+    (an ``itemgetter`` over several attrs already yields the tuple; one
+    attr needs the 1-tuple built)."""
     if len(attrs) == 1:
         a0 = attrs[0]
         return lambda obj: (obj[a0],)
@@ -83,9 +84,17 @@ def _chunk_column(values: list) -> tuple:
 
 
 class _Shard:
-    """One schema's objects + indices on one daemon, plus the typed
-    columns a frame is taken from (folded lazily, one attribute at a
-    time, see :meth:`column`)."""
+    """One schema's objects + indices on one daemon, plus every
+    attribute's cells, captured as objects are appended, from which a
+    frame's typed columns are folded (lazily, one attribute at a time,
+    see :meth:`column`).
+
+    Every stored object goes through :meth:`add` or :meth:`add_many`,
+    which take its index keys and its cells at once, so objects, cells
+    and index keys stay in step.  The contract this relies on: a stored
+    object is never mutated after it is appended (a change would reach
+    neither its index keys nor its cells).
+    """
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -99,77 +108,85 @@ class _Shard:
             (self.indices[name], _key_getter(attrs))
             for name, attrs in schema.indices.items()
         ]
+        #: ``obj -> tuple`` of its value of every attribute, in order.
+        self._row_of = _key_getter(tuple(schema.attrs))
+        #: ``name -> list``: ``cells[name][oid]`` is ``objects[oid]``'s
+        #: value of attribute ``name`` (None where the object lacks it).
+        self.cells: dict[str, list] = {name: [] for name in schema.attrs}
+        #: True while every object holds exactly the schema's
+        #: attributes (only an unvalidated insert can store one that
+        #: does not; once False, stays False).
+        self.keys_exact = True
         #: ``name -> (kind, array, folded)``: the column over
-        #: ``objects[:folded]``, each attribute with its own watermark.
+        #: ``cells[name][:folded]``, each attribute with its own
+        #: watermark.
         self._columns: dict = {}
-        #: Objects whose key sets :meth:`keys_exact` has checked, and
-        #: whether each of them held exactly the schema's attributes.
-        self._checked = 0
-        self._keys_exact = True
+
+    def _inexact_row(self, obj: dict) -> tuple:
+        """The cells of an object lacking some attribute."""
+        self.keys_exact = False
+        return tuple(map(obj.get, self.cells))
 
     def add(self, obj: dict) -> int:
         oid = len(self.objects)
         self.objects.append(obj)
+        try:
+            row = self._row_of(obj)
+        except KeyError:
+            row = self._inexact_row(obj)
+        else:
+            # Every attribute is present, so any other key is extra.
+            if len(obj) != len(row):
+                self.keys_exact = False
+        list(map(list.append, self.cells.values(), row))
         for index, key_of in self._keyed:
             index.add(key_of(obj), oid)
         return oid
 
     def add_many(self, objs: list) -> None:
-        """Append a batch: one index pass per index, not per object.
+        """Append a batch: one index pass per index and one transpose
+        of the batch's cells, not a pass per object.
 
         The key getters guarantee each key's length, so the per-key
         check in ``SortedIndex.add`` is redundant here.
         """
         base = len(self.objects)
         self.objects.extend(objs)
+        width = len(self.cells)
+        try:
+            rows = list(map(self._row_of, objs))
+        except KeyError:
+            rows = list(map(self._inexact_row, objs))
+        else:
+            if max(map(len, objs), default=width) != width:
+                self.keys_exact = False
+        for cells, column in zip(self.cells.values(), zip(*rows)):
+            cells.extend(column)
         oids = range(base, base + len(objs))
         for index, key_of in self._keyed:
             index.extend_unchecked(list(zip(map(key_of, objs), oids)))
 
-    def keys_exact(self) -> bool:
-        """True while every object's key set is the schema's attributes
-        (only an unvalidated insert can store one that is not; once
-        False, stays False).
-
-        Each object is checked once, a batch at a time, without a
-        per-object comparison: when every object has as many keys as
-        the schema has attributes and the union of their keys is the
-        attribute set, each object's keys are exactly that set.
-        """
-        objs = self.objects
-        if self._keys_exact and self._checked < len(objs):
-            chunk = objs[self._checked:]
-            self._checked = len(objs)
-            names = self.schema.attrs
-            self._keys_exact = (
-                set(map(len, chunk)) == {len(names)}
-                and set().union(*chunk) == names.keys()
-            )
-        return self._keys_exact
-
     def column(self, name: str, upto: int) -> tuple:
         """``(kind, array)`` of attribute ``name`` over at least
-        ``objects[:upto]``, each of which must hold ``name`` (else
-        KeyError, and nothing is folded).
+        ``objects[:upto]`` (``name`` must be a schema attribute, else
+        KeyError).
 
-        Objects are append-only, so only those past the attribute's own
-        watermark are folded: their cells are typed by
-        :func:`_chunk_column` and appended; a fold whose kind differs
-        from the column's makes the column ``MIXED`` (no array) for
-        good.  Each kind rule is a test on a type set that holds for a
-        union exactly when it holds for every part (int64 range
-        included), so the kind is the one ``from_records`` would find
-        on all the cells however the folds were cut.  A selection's
-        type set is a subset of it, so ``array[oids]`` of an ``INT``,
-        ``FLOAT`` or ``TEXT`` column is exactly what ``from_records``
-        builds from those objects.
+        Cells are append-only, so only those past the attribute's own
+        watermark are folded: they are typed by :func:`_chunk_column`
+        and appended; a fold whose kind differs from the column's makes
+        the column ``MIXED`` (no array) for good.  Each kind rule is a
+        test on a type set that holds for a union exactly when it holds
+        for every part (int64 range included), so the kind is the one
+        ``from_records`` would find on all the cells however the folds
+        were cut.  A selection's type set is a subset of it, so
+        ``array[oids]`` of an ``INT``, ``FLOAT`` or ``TEXT`` column is
+        exactly what ``from_records`` builds from those objects while
+        :attr:`keys_exact` holds.
         """
         kind, arr, folded = self._columns.get(name, (None, None, 0))
         if folded >= upto:
             return kind, arr
-        new_kind, new_arr = _chunk_column(
-            list(map(itemgetter(name), self.objects[folded:upto]))
-        )
+        new_kind, new_arr = _chunk_column(self.cells[name][folded:upto])
         if kind is None:
             kind, arr = new_kind, new_arr
         elif kind != new_kind or kind == MIXED:

@@ -25,6 +25,7 @@ tail lost.
 from __future__ import annotations
 
 __all__ = [
+    "Admission",
     "IngestJournal",
     "StoreWal",
     "WalEntry",
@@ -35,6 +36,7 @@ __all__ = [
 import json
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _crc(text: str) -> int:
@@ -43,7 +45,9 @@ def _crc(text: str) -> int:
 
 @dataclass(frozen=True)
 class WalEntry:
-    """One admission: the store committed to landing this message.
+    """One serialized admission: the store committed to landing this
+    message (the journal keeps :class:`Admission` records and builds
+    these only in :meth:`IngestJournal.to_bytes`).
 
     ``checksum`` covers the ``(t, trace_id)`` payload; a recovery pass
     recomputes it and refuses any record (and every record after it)
@@ -121,13 +125,22 @@ def recover_entries(data: bytes, decode) -> WalRecovery:
     return WalRecovery(tuple(entries), len(data) - offset)
 
 
+class Admission(NamedTuple):
+    """One logged admission: the instant and the trace id.  Its
+    checksummed :class:`WalEntry` is built only when the log is
+    serialized (:meth:`IngestJournal.to_bytes`)."""
+
+    t: float
+    trace_id: str
+
+
 class IngestJournal:
     """Dedup index + write-ahead log for one store plugin."""
 
     def __init__(self, env):
         self.env = env
         self._seen: set[str] = set()
-        self.wal: list[WalEntry] = []
+        self.wal: list[Admission] = []
         self.duplicates_skipped = 0
 
     def admit(self, trace_id: str) -> bool:
@@ -136,14 +149,7 @@ class IngestJournal:
         Untraced messages (empty id) cannot be deduplicated and are
         always admitted, unlogged.
         """
-        if not trace_id:
-            return True
-        if trace_id in self._seen:
-            self.duplicates_skipped += 1
-            return False
-        self._seen.add(trace_id)
-        self.wal.append(WalEntry.make(self.env.now, trace_id))
-        return True
+        return self.admit_at(trace_id, self.env.now)
 
     def admit_at(self, trace_id: str, t: float) -> bool:
         """:meth:`admit` with an explicit admission instant.
@@ -158,12 +164,13 @@ class IngestJournal:
             self.duplicates_skipped += 1
             return False
         self._seen.add(trace_id)
-        self.wal.append(WalEntry.make(t, trace_id))
+        self.wal.append(Admission(t, trace_id))
         return True
 
     def to_bytes(self) -> bytes:
         """The WAL as one serialized, checksummed log."""
-        return b"".join(entry.encode() for entry in self.wal)
+        make = WalEntry.make
+        return b"".join(make(t, trace_id).encode() for t, trace_id in self.wal)
 
     def replay(self, data: bytes) -> WalRecovery:
         """Rebuild the dedup index from a serialized WAL.
@@ -173,7 +180,7 @@ class IngestJournal:
         is replaced — replay models a restart, not a merge.
         """
         recovery = recover_entries(data, WalEntry.decode)
-        self.wal = list(recovery.entries)
+        self.wal = [Admission(e.t, e.trace_id) for e in recovery.entries]
         self._seen = {entry.trace_id for entry in recovery.entries}
         return recovery
 

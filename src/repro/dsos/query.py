@@ -98,9 +98,10 @@ class QueryResult:
         panel does not read is folded.  A column that is ``MIXED`` on
         some shard, or whose shards differ in kind, runs
         ``from_records``' own column rule on the rows.  A shard holding
-        an object without exactly the schema's attributes sends every
-        row through ``from_records`` here, so a missing attribute
-        raises at this call.  No rows raise ``DataFrameError``.
+        an object without exactly the schema's attributes (its
+        ``keys_exact`` flag, kept at append) sends every row through
+        ``from_records`` here, so a missing attribute raises at this
+        call.  No rows raise ``DataFrameError``.
         """
         from repro.webservices.dataframe import (
             DataFrame,
@@ -112,9 +113,9 @@ class QueryResult:
         if not rows:
             raise DataFrameError("query returned no rows")
         shards = [shard for shard, _ in self.parts]
-        if not all(shard.keys_exact() for shard in shards):
+        if not all(shard.keys_exact for shard in shards):
             return DataFrame.from_records(rows)
-        # Fold no further than the objects the key check has passed.
+        # Fold no further than the objects the flag covered just now.
         upto = [len(shard.objects) for shard in shards]
         takes = [np.asarray(oids, dtype=np.intp) for _, oids in self.parts]
         order = None if self.order is None else np.asarray(self.order, np.intp)

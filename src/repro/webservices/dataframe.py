@@ -247,6 +247,28 @@ class DataFrame:
         return GroupBy(self, names)
 
 
+def _first_row_codes(col: np.ndarray) -> np.ndarray:
+    """Each row's code: the index of the first row whose cell equals
+    its own, as a key tuple's Python equality and hash decide it:
+    each NaN is its own group, -0.0 == 0.0, and 1 == 1.0 == True.
+
+    A bool, int or float column is coded by ``np.unique``, which
+    compares the same way (``equal_nan=False`` keeps NaNs apart, and a
+    stable sort makes each value's index its first row); an object
+    column is matched by a dict.
+    """
+    if col.dtype.kind in "biuf":
+        _, first, inverse = np.unique(
+            col, return_index=True, return_inverse=True, equal_nan=False
+        )
+        return first[inverse]
+    first = {}
+    n = len(col)
+    return np.fromiter(
+        map(first.setdefault, col.tolist(), range(n)), np.intp, n
+    )
+
+
 class GroupBy:
     """Grouped view produced by :meth:`DataFrame.groupby`."""
 
@@ -259,18 +281,13 @@ class GroupBy:
         n = len(frame)
         if not n:
             return
-        # Code every row by the first row holding an equal key.  Per
-        # column a dict does the matching, so Python equality and hash
-        # decide it as a key tuple would: each NaN is its own group,
-        # -0.0 == 0.0, and 1 == 1.0 == True.  Combining the columns'
-        # codes keeps them first rows, so sorting rows by code lists
-        # the groups in first-seen order.
+        # Code every row by the first row holding an equal key (see
+        # _first_row_codes).  Combining the columns' codes keeps them
+        # first rows, so sorting rows by code lists the groups in
+        # first-seen order.
         codes = None
         for col in key_cols:
-            first = {}
-            col_codes = np.fromiter(
-                map(first.setdefault, col.tolist(), range(n)), np.intp, n
-            )
+            col_codes = _first_row_codes(col)
             if codes is None:
                 codes = col_codes
             else:

@@ -8,9 +8,13 @@ carries a CRC-32; a torn write or corrupt record invalidates itself
 prefix, reporting the bytes it refused.
 """
 
+import zlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dsos.journal import (
+    Admission,
     IngestJournal,
     StoreWal,
     WalEntry,
@@ -186,3 +190,71 @@ def test_ingest_journal_replay_truncates_torn_tail():
     assert [e.trace_id for e in recovery.entries] == ["5:1:0", "5:1:1"]
     # The torn-off admission is unknown to the replica: it re-admits.
     assert replica.admit("5:1:2")
+
+
+# The journal logs lightweight ``(t, trace_id)`` admissions and builds
+# the checksummed records only when serialized; the bytes must be the
+# ones a log of eagerly built ``WalEntry`` records always had.
+
+#: ``to_bytes`` of the journal built in the test below, as the
+#: eager-``WalEntry`` journal wrote it.
+_GOLDEN_LOG = (
+    b"0.0|3:0:0|ae4b1d26\n0.1|3:1:7|979ae906\n1e-07|3:2:14|18c058b8\n"
+    b"2.5|3:3:21|3de93262\n1.25|3:9:1|490111c1\n"
+)
+
+
+def test_ingest_journal_bytes_match_the_eager_encoding():
+    env = _Env()
+    journal = IngestJournal(env)
+    for i, t in enumerate([0.0, 0.1, 1e-7, 2.5]):
+        env.now = t
+        assert journal.admit(f"3:{i}:{i * 7}")
+    assert journal.admit_at("3:9:1", 1.25)
+    assert not journal.admit("3:0:0")
+    assert not journal.admit_at("3:9:1", 9.0)
+    assert journal.admit("")  # untraced: admitted, unlogged
+    assert journal.to_bytes() == _GOLDEN_LOG
+    assert journal.wal[-1] == Admission(1.25, "3:9:1")
+    assert [(e.t, e.trace_id) for e in journal.wal] == [
+        (0.0, "3:0:0"), (0.1, "3:1:7"), (1e-7, "3:2:14"), (2.5, "3:3:21"),
+        (1.25, "3:9:1"),
+    ]
+
+
+def _eager_record(t: float, trace_id: str) -> bytes:
+    """One admission record, spelled out: ``repr(t)|id|crc32 hex``."""
+    payload = f"{t!r}|{trace_id}"
+    crc = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+    return f"{payload}|{crc:08x}\n".encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    admissions=st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.from_regex(r"[0-9]{1,4}:[0-9]{1,3}:[0-9]{1,6}", fullmatch=True),
+        ),
+        max_size=20,
+    ),
+)
+def test_ingest_journal_serializes_and_replays_byte_identically(admissions):
+    journal = IngestJournal(_Env())
+    want = []
+    for t, trace_id in admissions:
+        if journal.admit_at(trace_id, t):
+            want.append(_eager_record(t, trace_id))
+            assert journal.wal[-1] == (t, trace_id)
+    data = journal.to_bytes()
+    assert data == b"".join(want)
+    assert data == b"".join(
+        WalEntry.make(t, trace_id).encode() for t, trace_id in journal.wal
+    )
+
+    replica = IngestJournal(_Env())
+    recovery = replica.replay(data)
+    assert not recovery.truncated
+    assert replica.wal == journal.wal
+    assert all(type(e) is Admission for e in replica.wal)
+    assert replica.to_bytes() == data

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.webservices import DataFrame
-from repro.webservices.dataframe import GroupBy
+from repro.webservices.dataframe import GroupBy, _first_row_codes
 
 #: One NaN object reused across cells: equal to itself by identity.
 _SHARED_NAN = float("nan")
@@ -127,3 +127,57 @@ def test_groups_are_copies():
     grouped.groups()[(1,)][0] = 99
     assert grouped.groups()[(1,)].tolist() == [0, 2]
     assert grouped.size().col("n").tolist() == [2, 1]
+
+
+#: Numeric key columns, coded by ``np.unique`` instead of a dict.
+_NUMERIC = {
+    "int64": st.one_of(
+        st.integers(-2, 2),
+        st.sampled_from([-(2**63), 2**63 - 1, -(2**63) + 1, 2**63 - 2]),
+    ),
+    "float64": st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf"),
+                         -float("inf"), 2.0**63, -(2.0**63)]),
+        st.floats(),
+    ),
+    "bool": st.booleans(),
+}
+
+
+def _dict_codes(col: np.ndarray) -> list:
+    """Each row's first equal row, by a dict over the Python cells."""
+    first = {}
+    return [first.setdefault(cell, i) for i, cell in enumerate(col.tolist())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_NUMERIC)).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind), st.lists(_NUMERIC[kind], max_size=40)
+        )
+    )
+)
+def test_numeric_key_codes_match_the_dict_coding(case):
+    kind, cells = case
+    col = np.asarray(cells, dtype=kind)
+    got = _first_row_codes(col)
+    assert got.tolist() == _dict_codes(col)
+    # The groups, with their keys read off each group's first row.
+    df = DataFrame({"k": col, "v": np.arange(len(col), dtype=float)})
+    want = _LoopGroupBy(df, ("k",)).groups()
+    got_groups = df.groupby("k").groups()
+    assert [_key(k) for k in got_groups] == [_key(k) for k in want]
+    assert [g.tolist() for g in got_groups.values()] == [
+        w.tolist() for w in want.values()
+    ]
+
+
+def test_numeric_key_codes_pin_nan_zero_and_extremes():
+    nan = float("nan")
+    codes = _first_row_codes(np.array([nan, 0.0, nan, -0.0, 1.0, 0.0]))
+    assert codes.tolist() == [0, 1, 2, 1, 4, 1]
+    big = np.array([2**63 - 1, -(2**63), 2**63 - 1, 2**63 - 2], dtype=np.int64)
+    assert _first_row_codes(big).tolist() == [0, 1, 0, 3]
+    flags = np.array([True, False, False, True])
+    assert _first_row_codes(flags).tolist() == [0, 1, 1, 0]
