@@ -128,16 +128,22 @@ class _Shard:
         return tuple(map(obj.get, self.cells))
 
     def add(self, obj: dict) -> int:
-        oid = len(self.objects)
-        self.objects.append(obj)
+        """Append one object.  An object lacking an indexed attribute
+        raises ``KeyError`` with nothing stored."""
         try:
             row = self._row_of(obj)
         except KeyError:
+            # A missing indexed attribute raises here, before anything
+            # is stored.
+            for _, key_of in self._keyed:
+                key_of(obj)
             row = self._inexact_row(obj)
         else:
             # Every attribute is present, so any other key is extra.
             if len(obj) != len(row):
                 self.keys_exact = False
+        oid = len(self.objects)
+        self.objects.append(obj)
         list(map(list.append, self.cells.values(), row))
         for index, key_of in self._keyed:
             index.add(key_of(obj), oid)
@@ -147,24 +153,42 @@ class _Shard:
         """Append a batch: one index pass per index and one transpose
         of the batch's cells, not a pass per object.
 
+        A batch holding an object that lacks some attribute is appended
+        object by object with :meth:`add`, which stores exactly the
+        prefix sequential adds would when an indexed one is missing.
         The key getters guarantee each key's length, so the per-key
         check in ``SortedIndex.add`` is redundant here.
         """
-        base = len(self.objects)
-        self.objects.extend(objs)
-        width = len(self.cells)
         try:
             rows = list(map(self._row_of, objs))
         except KeyError:
-            rows = list(map(self._inexact_row, objs))
-        else:
-            if max(map(len, objs), default=width) != width:
-                self.keys_exact = False
+            for obj in objs:
+                self.add(obj)
+            return
+        width = len(self.cells)
+        if max(map(len, objs), default=width) != width:
+            self.keys_exact = False
+        base = len(self.objects)
+        self.objects.extend(objs)
         for cells, column in zip(self.cells.values(), zip(*rows)):
             cells.extend(column)
         oids = range(base, base + len(objs))
         for index, key_of in self._keyed:
             index.extend_unchecked(list(zip(map(key_of, objs), oids)))
+
+    def key_columns(self, attrs: tuple, take) -> list | None:
+        """Each attribute's typed column (folded over every object)
+        taken at the oids ``take``, or None unless every one is
+        ``INT`` or ``FLOAT``: the columns a multi-stream merge can
+        ``np.lexsort`` (see :mod:`repro.dsos.query`)."""
+        upto = len(self.objects)
+        out = []
+        for attr in attrs:
+            kind, arr = self.column(attr, upto)
+            if kind != INT and kind != FLOAT:
+                return None
+            out.append(arr[take])
+        return out
 
     def column(self, name: str, upto: int) -> tuple:
         """``(kind, array)`` of attribute ``name`` over at least
@@ -257,8 +281,13 @@ class Dsosd:
                 shard.add(obj)
                 self.objects_stored += 1
         else:
-            shard.add_many(objs)
-            self.objects_stored += len(objs)
+            before = len(shard.objects)
+            try:
+                shard.add_many(objs)
+            finally:
+                # A batch stopped by a missing indexed attribute stored
+                # the objects before it.
+                self.objects_stored += len(shard.objects) - before
 
     def insert_seq(
         self,

@@ -20,6 +20,7 @@ the primary restarted with a torn WAL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -64,27 +65,55 @@ class QueryStats:
         return max(per_shard) + self.rows_returned * _MERGE_COST_PER_ROW_S
 
 
-@dataclass
 class QueryResult:
     """Rows (in index order) plus the work accounting.
 
-    The rows are the shards' own objects.  :meth:`frame` builds the
-    same rows' DataFrame from the shards' typed columns instead.
+    A result holds its shard selections and their merge order, not a
+    row list: :attr:`rows` (the shards' own objects) is built when it
+    is first read, and :meth:`frame` builds the same rows' DataFrame
+    from the shards' typed columns without it.
     """
 
-    rows: list[dict]
-    stats: QueryStats
-    #: ``(shard, oids)`` per non-empty shard selection, in stream order.
-    parts: list = field(default_factory=list, repr=False, compare=False)
-    #: Merge order: positions into the concatenated selections (None:
-    #: the concatenation itself, a lone stream cut to the limit).
-    order: list | None = field(default=None, repr=False, compare=False)
+    def __init__(self, stats: QueryStats, parts: list, order=None,
+                 takes=None):
+        self.stats = stats
+        #: ``(shard, oids)`` per non-empty shard selection, in stream
+        #: order, the oids a list (the index scan's own).
+        self.parts = parts
+        #: Merge order: an ``intp`` array of positions into the
+        #: concatenated selections (None: the concatenation itself, a
+        #: lone stream cut to the limit).
+        self.order = order
+        #: The selections' oids as ``intp`` arrays, when the merge has
+        #: built them (else :meth:`frame` builds them).
+        self._takes = takes
+        self._n = (
+            sum(len(oids) for _, oids in parts) if order is None else len(order)
+        )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._n
 
     def __iter__(self):
         return iter(self.rows)
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        """The selected objects, in merge order."""
+        objs = list(chain.from_iterable(
+            map(shard.objects.__getitem__, oids) for shard, oids in self.parts
+        ))
+        if self.order is None:
+            return objs
+        return list(map(objs.__getitem__, self.order.tolist()))
+
+    def _first_row(self) -> dict:
+        """``rows[0]`` of a non-empty result, without the row list."""
+        pos = 0 if self.order is None else int(self.order[0])
+        for shard, oids in self.parts:
+            if pos < len(oids):
+                return shard.objects[oids[pos]]
+            pos -= len(oids)
 
     def frame(self):
         """``DataFrame.from_records(self.rows)``, taken from columns on
@@ -94,14 +123,14 @@ class QueryResult:
         built the first time they are read: each is each shard's typed
         column (:meth:`~repro.dsos.daemon._Shard.column`) taken at the
         selection's object ids, concatenated in stream order and put
-        in merge order, so no row dict is transposed and no column a
-        panel does not read is folded.  A column that is ``MIXED`` on
-        some shard, or whose shards differ in kind, runs
-        ``from_records``' own column rule on the rows.  A shard holding
-        an object without exactly the schema's attributes (its
-        ``keys_exact`` flag, kept at append) sends every row through
-        ``from_records`` here, so a missing attribute raises at this
-        call.  No rows raise ``DataFrameError``.
+        in merge order, so no row list is built, no row dict is
+        transposed and no column a panel does not read is folded.  A
+        column that is ``MIXED`` on some shard, or whose shards differ
+        in kind, runs ``from_records``' own column rule on the rows.  A
+        shard holding an object without exactly the schema's attributes
+        (its ``keys_exact`` flag, kept at append) sends every row
+        through ``from_records`` here, so a missing attribute raises at
+        this call.  No rows raise ``DataFrameError``.
         """
         from repro.webservices.dataframe import (
             DataFrame,
@@ -109,27 +138,78 @@ class QueryResult:
             _column,
         )
 
-        rows = self.rows
-        if not rows:
+        if not self._n:
             raise DataFrameError("query returned no rows")
         shards = [shard for shard, _ in self.parts]
         if not all(shard.keys_exact for shard in shards):
-            return DataFrame.from_records(rows)
+            return DataFrame.from_records(self.rows)
         # Fold no further than the objects the flag covered just now.
         upto = [len(shard.objects) for shard in shards]
-        takes = [np.asarray(oids, dtype=np.intp) for _, oids in self.parts]
-        order = None if self.order is None else np.asarray(self.order, np.intp)
+        takes = self._takes or [
+            np.asarray(oids, dtype=np.intp) for _, oids in self.parts
+        ]
+        order = self.order
 
         def build(name):
             folded = [s.column(name, n) for s, n in zip(shards, upto)]
             kinds = {kind for kind, _ in folded}
             if len(kinds) > 1 or MIXED in kinds:
-                return _column(list(map(itemgetter(name), rows)))
+                return _column(list(map(itemgetter(name), self.rows)))
             pieces = [arr[take] for (_, arr), take in zip(folded, takes)]
             col = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             return col if order is None else col[order]
 
-        return DataFrame._on_demand(rows[0], len(rows), build)
+        return DataFrame._on_demand(self._first_row(), self._n, build)
+
+
+def _lexsort_order(shards: list, takes: list, attrs: tuple):
+    """The merge order of the concatenated selections (``takes[i]``
+    the oids taken from ``shards[i]``) by one stable ``np.lexsort``
+    over the index attributes' typed shard columns, or None when that
+    order could differ from the key tuples' own.
+
+    It cannot differ when every key column is ``INT`` or ``FLOAT`` on
+    every part (:meth:`~repro.dsos.daemon._Shard.key_columns`), one
+    kind per attribute across the parts, and no selected float is NaN:
+    int64 and NaN-free float64 values compare as Python compares them
+    (``-0.0 == 0.0``, ±inf at the ends).  Text, bools, ints beyond
+    int64 and mixed columns are not ``INT`` or ``FLOAT``; an int64
+    column beside a float64 one would compare as float64, which ties
+    ints Python tells apart (``2**53 + 1`` and ``2.0**53``); and a NaN
+    is not ordered at all (a stable tuple sort leaves it where its
+    neighbours' compares put it, lexsort puts it last).  Each of those
+    takes the tuple sort.  The kinds are the ones the shards' column
+    folds already keep.
+    """
+    per_part = [shard.key_columns(attrs, take)
+                for shard, take in zip(shards, takes)]
+    if any(cols is None for cols in per_part):
+        return None
+    keys = []
+    for cols in zip(*per_part):
+        if len({col.dtype for col in cols}) > 1:
+            return None
+        col = np.concatenate(cols)
+        if col.dtype.kind == "f" and np.isnan(col).any():
+            return None
+        keys.append(col)
+    # lexsort's primary key is its last.
+    return np.lexsort(keys[::-1])
+
+
+def _merge_order(streams: list, takes: list, attrs: tuple) -> np.ndarray:
+    """Positions into the concatenated selections, in key order.
+
+    Both sorts are stable, so equal keys keep stream order (the
+    earlier shard first), exactly as ``heapq.merge`` does.
+    """
+    order = _lexsort_order([s[0] for s in streams], takes, attrs)
+    if order is not None:
+        return order
+    # Timsort finds each stream as a sorted run and merges the runs.
+    tuples = list(chain.from_iterable(s[1] for s in streams))
+    return np.asarray(sorted(range(len(tuples)), key=tuples.__getitem__),
+                      dtype=np.intp)
 
 
 class Query:
@@ -220,23 +300,15 @@ class Query:
                     )
                 shard_results.append(self._scan_shard(primary, stats))
         streams = [s for s in shard_results if s[2]]
-        if len(streams) == 1:
-            # One stream is already in key order: nothing to merge.
-            shard, _, oids = streams[0]
-            parts = [(shard, oids[: self._limit])]
-            order = None
+        if len(streams) < 2:
+            # A lone stream is already in key order: nothing to merge.
+            parts = [(shard, oids[: self._limit]) for shard, _, oids in streams]
+            result = QueryResult(stats, parts)
         else:
-            # One stable sort of positions over the concatenated
-            # streams.  Timsort finds each stream as a sorted run and
-            # merges the runs in C; being stable, it breaks key ties by
-            # stream order (equal keys come from the earlier shard
-            # first), exactly as heapq.merge does.
             parts = [(shard, oids) for shard, _, oids in streams]
-            keys = list(chain.from_iterable(s[1] for s in streams))
-            order = sorted(range(len(keys)), key=keys.__getitem__)[: self._limit]
-        objs = list(chain.from_iterable(
-            map(shard.objects.__getitem__, oids) for shard, oids in parts
-        ))
-        rows = objs if order is None else list(map(objs.__getitem__, order))
-        stats.rows_returned = len(rows)
-        return QueryResult(rows=rows, stats=stats, parts=parts, order=order)
+            takes = [np.asarray(oids, dtype=np.intp) for _, oids in parts]
+            attrs = parts[0][0].indices[self.index_name].key_attrs
+            order = _merge_order(streams, takes, attrs)[: self._limit]
+            result = QueryResult(stats, parts, order, takes)
+        stats.rows_returned = len(result)
+        return result

@@ -107,6 +107,51 @@ def test_a_validated_batch_stops_in_step_at_the_bad_object():
     _assert_cells_in_step(shard)
 
 
+
+# An object lacking an indexed attribute is rejected before anything
+# is stored: objects, cells, index entries and the daemon's count stay
+# as they were (a batch keeps exactly the prefix sequential inserts
+# would have stored).
+
+#: Lacks ``rank``, which the index keys on.
+_UNKEYED = {"job_id": 1, "timestamp": 2.0, "op": "write"}
+
+
+def _assert_stored(cluster, n):
+    (daemon,) = cluster.daemons
+    (shard,) = _shards(cluster)
+    assert cluster.count("events") == n
+    assert daemon.objects_stored == n
+    for index in shard.indices.values():
+        assert len(index) == n
+        assert sorted(oid for _, oid in index.iter_sorted()) == list(range(n))
+    _assert_cells_in_step(shard)
+
+
+def test_an_insert_missing_an_indexed_attribute_stores_nothing():
+    c = _flat()
+    c.insert("events", _event(1, 0, 0.0))
+    with pytest.raises(KeyError):
+        c.insert("events", dict(_UNKEYED), validate=False)
+    _assert_stored(c, 1)
+    c.insert("events", _event(1, 1, 1.0))
+    _assert_stored(c, 2)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_batch_missing_an_indexed_attribute_stores_its_prefix(at):
+    c = _flat()
+    batch = [_event(1, 0, 0.0), _event(1, 1, 1.0), _event(1, 2, 2.0)]
+    batch.insert(at, dict(_UNKEYED))
+    with pytest.raises(KeyError):
+        c.insert_many("events", batch, validate=False)
+    (shard,) = _shards(c)
+    assert shard.objects == batch[:at]
+    _assert_stored(c, at)
+    rows = c.query("events", "job_rank_time").execute().rows
+    assert [r["rank"] for r in rows] == list(range(at))
+
+
 def _replicated():
     c = DsosCluster("hot", shards=2, replication=2)
     c.attach_schema(_SCHEMA)

@@ -1,0 +1,383 @@
+"""Differential pin: both multi-stream merge paths give the oracle's rows.
+
+A read over several shard streams is ordered by one stable
+``np.lexsort`` over the shards' typed key columns when every key column
+is ``INT`` or ``FLOAT`` on every stream, with one kind per attribute and
+no NaN among the selected floats; any other key (NaN, bools, ints
+beyond int64, str or None, an int column on one shard and a float one
+on another) takes the stable sort of the key tuples.  Whichever path
+runs, the rows must be the oracle's: every object's key rebuilt with
+:meth:`Schema.key_for`, each daemon's objects stably sorted on it, cut
+to the prefix or range, filtered row by row, the streams merged with
+``heapq.merge`` and cut at the limit (NaN keys are not totally ordered,
+so there the oracle is the stable sort of the daemons' own index
+streams).  Rows are compared by identity and in order; ``frame()``
+must equal ``from_records`` of the rows; and a spy on the path choice
+pins which path ran, so draws meant for ``np.lexsort`` do reach it.
+
+Hypothesis draws flat clusters of 1–4 daemons and 2×2 replicated ones,
+one key flavour per world, and ingest interleaved with prefix, range,
+``where`` and ``limit`` queries.
+"""
+
+import heapq
+import math
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from repro.dsos import Attr, DsosCluster, Schema
+from repro.dsos import query as dsos_query
+from repro.webservices import DataFrame
+from repro.webservices.dataframe import DataFrameError
+
+_SCHEMA = Schema(
+    "ev",
+    [
+        Attr("job_id", "int"),
+        Attr("rank", "int"),
+        Attr("ts", "float"),
+        Attr("tag", "string"),
+        Attr("seq", "int"),
+    ],
+    {
+        "job_rank_ts": ("job_id", "rank", "ts"),
+        "ts_job": ("ts", "job_id"),
+        "rank_ts": ("rank", "ts"),
+        "tag_ts": ("tag", "ts"),
+    },
+)
+
+_JOBS = st.integers(0, 3)
+_RANKS = st.integers(0, 2)
+_TAGS = st.sampled_from(["", "a", "b"])
+
+_INT64 = [-(2**63), 2**63 - 1]
+_FLOATS = [-math.inf, -1.5, -0.0, 0.0, 0.5, 2.0, math.inf]
+
+#: ``ts`` values per key flavour.  ``int`` and ``float`` are the
+#: ``np.lexsort`` flavours; each other one makes a key column the tuple
+#: sort must order.  ``mix`` puts ints on the first stream and floats
+#: on the others, with values a cast to float64 would tie (2**53 + 1
+#: is above 2.0**53 in Python, equal to it as float64).
+_FLAVOURS = {
+    "int": st.sampled_from(_INT64) | st.integers(-3, 3),
+    "float": st.sampled_from(_FLOATS),
+    "nan": st.sampled_from(_FLOATS + [math.nan]),
+    "bool": st.booleans() | st.integers(0, 2),
+    "bigint": st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7])
+    | st.integers(-3, 3),
+    "text": _TAGS,
+    "mix": None,
+}
+_MIX_INT = st.sampled_from([1, 2**53 + 1, -(2**63)])
+_MIX_FLOAT = st.sampled_from([1.0, 0.5, 2.0**53])
+
+
+def _cluster(topology: str, n_daemons: int):
+    if topology == "flat":
+        cluster = DsosCluster("m", n_daemons=n_daemons)
+    else:
+        cluster = DsosCluster("m", shards=2, replication=2)
+    cluster.attach_schema(_SCHEMA)
+    return cluster
+
+
+class _World:
+    """A cluster plus the drawing rules of its key flavour."""
+
+    def __init__(self, cluster, flavour):
+        self.cluster = cluster
+        self.flavour = flavour
+        self.inserted = 0
+
+    def _stream_of(self, obj, ahead: int) -> int:
+        """The stream (daemon or shard) ``obj`` lands on when ``ahead``
+        objects are inserted before it (flat clusters place objects
+        round-robin, replicated ones by job hash)."""
+        if self.cluster.sharded:
+            return self.cluster.shard_of(_SCHEMA.name, obj)
+        return (self.inserted + ahead) % len(self.cluster.daemons)
+
+    def domain(self, attr):
+        if attr == "job_id":
+            return _JOBS
+        if attr == "rank":
+            # Text worlds key on None ranks (None == None; never < str).
+            return st.none() if self.flavour == "text" else _RANKS
+        if attr == "tag":
+            return _TAGS
+        if self.flavour == "mix":
+            return _MIX_INT | _MIX_FLOAT
+        return _FLAVOURS[self.flavour]
+
+    def objects(self, draw) -> list:
+        objs = []
+        for _ in range(draw(st.integers(1, 6))):
+            obj = {a: draw(self.domain(a)) for a in ("job_id", "rank", "tag")}
+            obj["seq"] = self.inserted + len(objs)
+            if self.flavour == "mix":
+                first = self._stream_of(obj, len(objs)) == 0
+                obj["ts"] = draw(_MIX_INT if first else _MIX_FLOAT)
+            else:
+                obj["ts"] = draw(self.domain("ts"))
+            objs.append(obj)
+        return objs
+
+    def insert(self, objs, batched: bool) -> None:
+        if batched:
+            self.cluster.insert_many(_SCHEMA.name, objs, validate=False)
+        else:
+            for obj in objs:
+                self.cluster.insert(_SCHEMA.name, obj, validate=False)
+        self.inserted += len(objs)
+
+
+# ---------------------------------------------------------------- oracle
+
+_OPS = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def _daemons(cluster):
+    if not cluster.sharded:
+        return cluster.daemons
+    return [next(r for r in rs if r.alive) for rs in cluster.replica_sets]
+
+
+def _in_cut(key, spec) -> bool:
+    prefix, begin, end = spec["prefix"], spec["begin"], spec["end"]
+    if prefix is not None:
+        return key[: len(prefix)] == prefix
+    return (begin is None or begin <= key) and (end is None or key < end)
+
+
+def _kept(obj, spec) -> bool:
+    return all(_OPS[op](obj[a], v) for a, op, v in spec["where"])
+
+
+def _limited(objs, spec) -> list:
+    objs = list(objs)
+    return objs if spec["limit"] is None else objs[: spec["limit"]]
+
+
+def _oracle(cluster, spec) -> list:
+    """``key_for`` + stable per-daemon sort + ``heapq.merge``."""
+    name = spec["index"]
+    streams = []
+    for daemon in _daemons(cluster):
+        keyed = sorted(
+            ((_SCHEMA.key_for(name, o), o)
+             for o in daemon._shard(_SCHEMA.name).objects),
+            key=lambda kv: kv[0],
+        )
+        streams.append([kv for kv in keyed
+                        if _in_cut(kv[0], spec) and _kept(kv[1], spec)])
+    merged = heapq.merge(*streams, key=lambda kv: kv[0])
+    return _limited((obj for _, obj in merged), spec)
+
+
+def _nan_oracle(cluster, spec) -> list:
+    """NaN keys are not totally ordered: the stable sort of the
+    daemons' own index streams, concatenated in stream order."""
+    entries = []
+    for daemon in _daemons(cluster):
+        keys, oids, _ = daemon.query_shard(
+            _SCHEMA.name, spec["index"], begin=spec["begin"],
+            end=spec["end"], prefix=spec["prefix"], filters=spec["where"],
+        )
+        objects = daemon._shard(_SCHEMA.name).objects
+        entries += [(k, objects[o]) for k, o in zip(keys, oids)]
+    entries.sort(key=lambda kv: kv[0])
+    return _limited((obj for _, obj in entries), spec)
+
+
+# ------------------------------------------------------------ path spy
+
+
+@contextmanager
+def _path_spy():
+    """Record the path each multi-stream merge takes."""
+    paths = []
+    lexsort_order = dsos_query._lexsort_order
+
+    def spy(shards, takes, attrs):
+        order = lexsort_order(shards, takes, attrs)
+        paths.append("tuple" if order is None else "lexsort")
+        return order
+
+    dsos_query._lexsort_order = spy
+    try:
+        yield paths
+    finally:
+        dsos_query._lexsort_order = lexsort_order
+
+
+def _kind(values):
+    types = set(map(type, values))
+    if types == {int} and all(-(2**63) <= v < 2**63 for v in values):
+        return "int"
+    return "float" if types == {float} else None
+
+
+def _expected_path(result, attrs) -> str:
+    """The documented rule, restated on the stored objects: every key
+    column of every merged stream all int64 ints or all floats, one
+    kind per attribute, and no NaN in the selections."""
+    for attr in attrs:
+        kinds = {_kind([o[attr] for o in shard.objects])
+                 for shard, _ in result.parts}
+        if len(kinds) != 1 or None in kinds:
+            return "tuple"
+        # The selections, not the rows: the limit cuts after the merge.
+        selected = [shard.objects[oid][attr]
+                    for shard, oids in result.parts for oid in oids]
+        if kinds == {"float"} and any(map(math.isnan, selected)):
+            return "tuple"
+    return "lexsort"
+
+
+# ----------------------------------------------------------------- spec
+
+
+@st.composite
+def _key_part(draw, world, index):
+    attrs = _SCHEMA.indices[index]
+    n = draw(st.integers(1, len(attrs)))
+    return tuple(draw(world.domain(a)) for a in attrs[:n])
+
+
+@st.composite
+def _spec(draw, world):
+    index = draw(st.sampled_from(sorted(_SCHEMA.indices)))
+    spec = {"index": index, "prefix": None, "begin": None, "end": None}
+    shape = draw(st.sampled_from(["all", "all", "prefix", "range"]))
+    if shape == "prefix":
+        spec["prefix"] = draw(_key_part(world, index))
+    elif shape == "range":
+        spec["begin"] = draw(st.none() | _key_part(world, index))
+        spec["end"] = draw(st.none() | _key_part(world, index))
+    spec["where"] = [
+        (attr, draw(st.sampled_from(sorted(_OPS))), draw(domain))
+        for attr, domain in draw(st.lists(
+            st.sampled_from([("job_id", _JOBS), ("seq", st.integers(0, 40))]),
+            max_size=2,
+        ))
+    ]
+    spec["limit"] = draw(st.none() | st.integers(1, 12))
+    return spec
+
+
+def _execute(cluster, spec):
+    q = cluster.query(_SCHEMA.name, spec["index"])
+    if spec["prefix"] is not None:
+        q.prefix(*spec["prefix"])
+    if spec["begin"] is not None or spec["end"] is not None:
+        q.range(spec["begin"], spec["end"])
+    for clause in spec["where"]:
+        q.where(*clause)
+    if spec["limit"] is not None:
+        q.limit(spec["limit"])
+    return q.execute()
+
+
+def _cells(arr):
+    return [(type(v), repr(v)) for v in arr.tolist()]
+
+
+def _assert_frame_is_from_records(result):
+    if not len(result):
+        with pytest.raises(DataFrameError):
+            result.frame()
+        return
+    got = result.frame()
+    want = DataFrame.from_records(result.rows)
+    assert got.columns == want.columns
+    for name in want.columns:
+        assert got.col(name).dtype == want.col(name).dtype, name
+        assert _cells(got.col(name)) == _cells(want.col(name)), name
+
+
+def _check(world, spec) -> str | None:
+    """Run ``spec``; assert rows, frame and path.  Returns the path."""
+    cluster = world.cluster
+    want = (_nan_oracle if world.flavour == "nan" else _oracle)(cluster, spec)
+    with _path_spy() as paths:
+        result = _execute(cluster, spec)
+    # Frame first: the row list must not be needed to build it.
+    _assert_frame_is_from_records(result)
+    got = result.rows
+    assert [id(r) for r in got] == [id(r) for r in want]
+    assert len(result) == result.stats.rows_returned == len(want)
+    if len(result.parts) < 2:
+        assert paths == []
+        return None
+    attrs = _SCHEMA.indices[spec["index"]]
+    assert paths == [_expected_path(result, attrs)]
+    return paths[0]
+
+
+#: The two ``np.lexsort`` flavours are drawn as often as all the
+#: tuple-sort flavours together.
+_FLAVOUR = st.sampled_from(["float", "int"]) | st.sampled_from(sorted(_FLAVOURS))
+
+_WHOLE = {"prefix": None, "begin": None, "end": None, "where": [],
+          "limit": None}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    topology=st.sampled_from(["flat", "flat", "replicated"]),
+    # A lone daemon never merges: drawn, but less often.
+    n_daemons=st.sampled_from([2, 3, 4, 1, 2, 3, 4]),
+    flavour=_FLAVOUR,
+    data=st.data(),
+)
+def test_merge_paths_match_the_key_for_merge_oracle(topology, n_daemons,
+                                                    flavour, data):
+    world = _World(_cluster(topology, n_daemons), flavour)
+    world.insert(world.objects(data.draw), data.draw(st.booleans()))
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(["insert", "insert_many", "query"]))
+        if step == "query":
+            path = _check(world, data.draw(_spec(world)))
+            event(f"{flavour}: {path or 'one stream'}")
+        else:
+            world.insert(world.objects(data.draw), step == "insert_many")
+    path = _check(world, {"index": "job_rank_ts", **_WHOLE})
+    event(f"{flavour}, whole store: {path or 'one stream'}")
+
+
+# ------------------------------------------------ each path, on purpose
+
+
+def _fixed_world(flavour, ts_values, *, n_daemons=3):
+    world = _World(_cluster("flat", n_daemons), flavour)
+    objs = [{"job_id": i % 2, "rank": i % 3, "ts": ts, "tag": "a", "seq": i}
+            for i, ts in enumerate(ts_values)]
+    world.insert(objs, batched=False)
+    return world
+
+
+@pytest.mark.parametrize("flavour, ts_values, path", [
+    ("int", [2**63 - 1, 0, -(2**63), 0, 3, 2**63 - 1, -1, 0, 2], "lexsort"),
+    ("float", [0.5, -0.0, 0.0, math.inf, -math.inf, 0.0, 0.5, -0.0, 1e300],
+     "lexsort"),
+    ("nan", [0.5, math.nan, 0.0, 0.5, math.nan, 0.25], "tuple"),
+    ("bool", [1, True, 0, False, 2, 1], "tuple"),
+    ("bigint", [2**64 + 7, 0, 1, 2, -3, 0], "tuple"),
+    ("text", ["b", "a", "", "a", "b", ""], "tuple"),
+    # Daemon 0 holds ints, daemons 1 and 2 floats.
+    ("mix", [2**53 + 1, 2.0**53, 0.5, 1, 1.0, 2.0**53], "tuple"),
+], ids=lambda v: v if isinstance(v, str) else None)
+@pytest.mark.parametrize("index", ["job_rank_ts", "ts_job"])
+def test_each_key_flavour_takes_its_path(flavour, ts_values, path, index):
+    world = _fixed_world(flavour, ts_values)
+    assert _check(world, {"index": index, **_WHOLE}) == path

@@ -8,7 +8,7 @@ frame cannot be written through, an empty query fails at the same
 panel as before, every frame comes from the store's columns yet
 equals ``from_records`` of its rows, a render folds and builds only
 the columns its panels read (nothing at all on an unchanged store),
-and it never imports ``numpy.ma``.
+it builds no row list, and it never imports ``numpy.ma``.
 """
 
 import json
@@ -392,8 +392,10 @@ def test_board_folds_and_builds_only_what_its_panels_read(
     built = {name for df in frames for name in df.columns
              if df._cols[name] is not None}
     assert built == _READ
+    # The multi-stream merge also folds the index key attributes
+    # (job_id, rank, timestamp) to order the selections.
     folded = set().union(*(shard._columns for shard in _shards(world)))
-    assert folded == _READ
+    assert folded == _READ | {"rank"}
 
     # An unchanged store: nothing folded again.
     folds.clear()
@@ -401,6 +403,57 @@ def test_board_folds_and_builds_only_what_its_panels_read(
     assert folds == []
     for got, want in zip(second, first):
         assert _same(got.payload, want.payload), got.title
+
+
+
+# ------------------------------------------------------ lazy row lists
+#
+# A query result holds its selections and merge order; its row list is
+# built only when ``rows`` is read, and a frame never reads it.
+
+
+def _capture_results(monkeypatch) -> list:
+    results = []
+    execute = Query.execute
+
+    def captured(self):
+        results.append(execute(self))
+        return results[-1]
+
+    monkeypatch.setattr(Query, "execute", captured)
+    return results
+
+
+@pytest.mark.parametrize("world_name", _WORLDS)
+@pytest.mark.parametrize("whole_store", [False, True])
+def test_figure_board_render_builds_no_row_list(
+    request, monkeypatch, world_name, whole_store
+):
+    world, jobs = request.getfixturevalue(world_name)
+    results = _capture_results(monkeypatch)
+    _figure_board(None if whole_store else jobs[0]).render(
+        DsosDataSource(world.dsos))
+    assert len(results) == 2
+    assert all(len(r.parts) > 1 for r in results)  # the merge ran
+    assert all("rows" not in vars(r) for r in results)
+
+
+@pytest.mark.parametrize("world_name", _WORLDS)
+@pytest.mark.parametrize("index", ["job_rank_time", "job_time_rank"])
+def test_rows_read_after_frame_equal_the_eager_rows(
+    request, world_name, index
+):
+    world, jobs = request.getfixturevalue(world_name)
+    cluster = world.dsos.cluster
+    eager = cluster.query("darshan_data", index).execute()
+    eager_rows = eager.rows
+    lazy = cluster.query("darshan_data", index).execute()
+    lazy.frame().col("timestamp")
+    assert "rows" not in vars(lazy)
+    assert len(lazy) == len(eager_rows) > 0
+    got = lazy.rows
+    assert [id(r) for r in got] == [id(r) for r in eager_rows]
+    assert lazy.rows is got  # built once
 
 
 _MA_PROBE = """
