@@ -221,28 +221,28 @@ class DsosCluster:
         """Store a batch, equivalent to sequential :meth:`insert` calls.
 
         Round-robin equivalence: daemon ``i`` receives the slice
-        ``objs[(i - rr) % nd :: nd]`` (in order), which is exactly the
-        objects sequential inserts would have handed it, and the cursor
-        advances by ``len(objs)`` — so batched and per-object ingest
-        place every object identically.
+        ``rows[(i - rr) % nd :: nd]`` (in order) of the batch's accepted
+        prefix, which is exactly the objects sequential inserts would
+        have handed it, and the cursor advances as theirs does — so
+        batched and per-object ingest place every object identically.
+        An object the schema rejects (:meth:`Schema.rows
+        <repro.dsos.schema.Schema.rows>`) is then inserted alone, which
+        raises its error with the objects before it stored.
         """
         objs = objs if isinstance(objs, list) else list(objs)
         if self.sharded:
             for obj in objs:
                 self.insert_replicated(schema_name, obj, validate=validate)
             return len(objs)
-        self.schema(schema_name)  # existence check with good error
+        rows = self.schema(schema_name).rows(objs, validate=validate)
         daemons = self.daemons
         nd = len(daemons)
-        if nd == 1:
-            daemons[0].insert_many(schema_name, objs, validate=validate)
-        else:
-            rr = self._rr
-            for i, daemon in enumerate(daemons):
-                chunk = objs[(i - rr) % nd :: nd]
-                if chunk:
-                    daemon.insert_many(schema_name, chunk, validate=validate)
-            self._rr = (rr + len(objs)) % nd
+        rr = self._rr
+        for i, daemon in enumerate(daemons):
+            daemon.insert_rows(schema_name, rows[(i - rr) % nd :: nd])
+        self._rr = (rr + len(rows)) % nd
+        if len(rows) < len(objs):
+            self.insert(schema_name, objs[len(rows)], validate=validate)
         return len(objs)
 
     def insert_replicated(
@@ -263,9 +263,8 @@ class DsosCluster:
         """
         if not self.sharded:
             raise SchemaError("insert_replicated requires a sharded cluster")
-        schema = self.schema(schema_name)
-        if validate:
-            schema.validate(obj)
+        # Rejected before a sequence number or a WAL record exists.
+        self.schema(schema_name).row(obj, validate=validate)
         shard = self.shard_of(schema_name, obj)
         replicas = self.replica_sets[shard]
         live = [r for r in replicas if r.alive]

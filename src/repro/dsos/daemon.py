@@ -21,6 +21,7 @@ log appends, byte-identical to the pre-replication store.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 import numpy as np
@@ -45,30 +46,36 @@ class StoreDownError(RuntimeError):
     """An operation reached a crashed daemon (or a replica-less shard)."""
 
 
-def _key_getter(attrs: tuple):
-    """``obj -> tuple`` of its values of ``attrs``: for an index over
-    ``attrs``, the key :meth:`~repro.dsos.schema.Schema.key_for` gives
-    (an ``itemgetter`` over several attrs already yields the tuple; one
-    attr needs the 1-tuple built)."""
-    if len(attrs) == 1:
-        a0 = attrs[0]
-        return lambda obj: (obj[a0],)
-    return itemgetter(*attrs)
+def _key_getter(positions: tuple):
+    """``row -> tuple`` of its values at ``positions``: for an index
+    over the attributes at those positions of a schema row
+    (:meth:`~repro.dsos.schema.Schema.row`), the key
+    :meth:`~repro.dsos.schema.Schema.key_for` gives (an ``itemgetter``
+    over several positions already yields the tuple; one needs the
+    1-tuple built)."""
+    if len(positions) == 1:
+        p0 = positions[0]
+        return lambda row: (row[p0],)
+    return itemgetter(*positions)
 
 
-#: Kinds of a folded shard column (see :meth:`_Shard.column`).
+#: Kinds of a shard column (see :meth:`_Shard.column`).
 INT, FLOAT, TEXT, MIXED = "int", "float", "text", "mixed"
 
-#: Cell types a ``TEXT`` column may hold: no number, and nothing numpy
+#: Value types a ``TEXT`` column may hold: no number, and nothing numpy
 #: would descend into when building an object array (a tuple would).
 _TEXT_TYPES = frozenset({str, type(None)})
 
+#: Rows a shard appends between two folds of every column's tail: no
+#: tail ever holds more.
+_FOLD_ROWS = 1024
+
 
 def _chunk_column(values: list) -> tuple:
-    """``(kind, array)`` for one fold's cells of a column, by
+    """``(kind, array)`` for one fold's values of a column, by
     ``DataFrame.from_records``'s rule on their type set: ``INT`` when
-    every cell is an ``int`` and int64 holds them all, ``FLOAT`` when
-    every cell is a ``float``, ``TEXT`` when every cell is a str or
+    every value is an ``int`` and int64 holds them all, ``FLOAT`` when
+    every value is a ``float``, ``TEXT`` when every value is a str or
     None, else ``MIXED`` with no array."""
     types = set(map(type, values))
     if types == {int}:
@@ -84,141 +91,153 @@ def _chunk_column(values: list) -> tuple:
 
 
 class _Shard:
-    """One schema's objects + indices on one daemon, plus every
-    attribute's cells, captured as objects are appended, from which a
-    frame's typed columns are folded (lazily, one attribute at a time,
-    see :meth:`column`).
+    """One schema's objects + indices on one daemon.
 
-    Every stored object goes through :meth:`add` or :meth:`add_many`,
-    which take its index keys and its cells at once, so objects, cells
-    and index keys stay in step.  The contract this relies on: a stored
-    object is never mutated after it is appended (a change would reach
-    neither its index keys nor its cells).
+    An object is kept only as its values, one column per schema
+    attribute: oid ``i`` is row ``i`` of every column, and no row dict
+    is stored.  Values are appended to a Python tail per attribute
+    (:meth:`add`, :meth:`add_many`), and a tail is folded into its
+    column's stored array every :data:`_FOLD_ROWS` rows and whenever a
+    read needs rows past the last fold (:meth:`column`).  Reads build
+    row dicts from the columns (:meth:`rows`), in schema attribute
+    order, equal by value to the objects inserted.
+
+    Every stored object goes through :meth:`add` or :meth:`add_many`
+    as a row the schema built (:meth:`~repro.dsos.schema.Schema.row`),
+    which holds exactly the schema's attributes; its index keys are
+    taken from the same row, so columns and index keys stay in step.
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
-        self.objects: list[dict] = []
         self.indices = {
             name: SortedIndex(name, attrs)
             for name, attrs in schema.indices.items()
         }
+        #: ``name -> position`` of each attribute in a row.
+        self._pos = {name: i for i, name in enumerate(schema.attrs)}
         #: ``(index, key getter)`` per index, built once per shard.
         self._keyed = [
-            (self.indices[name], _key_getter(attrs))
+            (self.indices[name],
+             _key_getter(tuple(self._pos[a] for a in attrs)))
             for name, attrs in schema.indices.items()
         ]
-        #: ``obj -> tuple`` of its value of every attribute, in order.
-        self._row_of = _key_getter(tuple(schema.attrs))
-        #: ``name -> list``: ``cells[name][oid]`` is ``objects[oid]``'s
-        #: value of attribute ``name`` (None where the object lacks it).
-        self.cells: dict[str, list] = {name: [] for name in schema.attrs}
-        #: True while every object holds exactly the schema's
-        #: attributes (only an unvalidated insert can store one that
-        #: does not; once False, stays False).
-        self.keys_exact = True
-        #: ``name -> (kind, array, folded)``: the column over
-        #: ``cells[name][:folded]``, each attribute with its own
-        #: watermark.
-        self._columns: dict = {}
+        #: Per attribute, in schema order: the values appended since
+        #: the attribute's last fold.
+        self._tails: list[list] = [[] for _ in schema.attrs]
+        #: Per attribute, in schema order: ``(kind, stored)``, the
+        #: folded rows as an array (a list when ``MIXED``), or
+        #: ``(None, None)`` before the first fold.
+        self._cols: list[tuple] = [(None, None)] * len(schema.attrs)
+        self._n = 0
+        #: Row count at which every tail is folded next.
+        self._next_fold = _FOLD_ROWS
 
-    def _inexact_row(self, obj: dict) -> tuple:
-        """The cells of an object lacking some attribute."""
-        self.keys_exact = False
-        return tuple(map(obj.get, self.cells))
+    def __len__(self) -> int:
+        return self._n
 
-    def add(self, obj: dict) -> int:
-        """Append one object.  An object lacking an indexed attribute
-        raises ``KeyError`` with nothing stored."""
-        try:
-            row = self._row_of(obj)
-        except KeyError:
-            # A missing indexed attribute raises here, before anything
-            # is stored.
-            for _, key_of in self._keyed:
-                key_of(obj)
-            row = self._inexact_row(obj)
-        else:
-            # Every attribute is present, so any other key is extra.
-            if len(obj) != len(row):
-                self.keys_exact = False
-        oid = len(self.objects)
-        self.objects.append(obj)
-        list(map(list.append, self.cells.values(), row))
+    def add(self, row: tuple) -> int:
+        """Append one schema row; returns its oid."""
+        oid = self._n
+        list(map(list.append, self._tails, row))
         for index, key_of in self._keyed:
-            index.add(key_of(obj), oid)
+            index.add(key_of(row), oid)
+        self._n = oid + 1
+        if self._n >= self._next_fold:
+            self._fold_all()
         return oid
 
-    def add_many(self, objs: list) -> None:
-        """Append a batch: one index pass per index and one transpose
-        of the batch's cells, not a pass per object.
-
-        A batch holding an object that lacks some attribute is appended
-        object by object with :meth:`add`, which stores exactly the
-        prefix sequential adds would when an indexed one is missing.
-        The key getters guarantee each key's length, so the per-key
-        check in ``SortedIndex.add`` is redundant here.
-        """
-        try:
-            rows = list(map(self._row_of, objs))
-        except KeyError:
-            for obj in objs:
-                self.add(obj)
-            return
-        width = len(self.cells)
-        if max(map(len, objs), default=width) != width:
-            self.keys_exact = False
-        base = len(self.objects)
-        self.objects.extend(objs)
-        for cells, column in zip(self.cells.values(), zip(*rows)):
-            cells.extend(column)
-        oids = range(base, base + len(objs))
+    def add_many(self, rows: list) -> None:
+        """Append a batch of schema rows: one index pass per index and
+        one transpose of the batch, not a pass per row.  The key
+        getters guarantee each key's length, so the per-key check in
+        ``SortedIndex.add`` is redundant here."""
+        base = self._n
+        for tail, column in zip(self._tails, zip(*rows)):
+            tail.extend(column)
+        oids = range(base, base + len(rows))
         for index, key_of in self._keyed:
-            index.extend_unchecked(list(zip(map(key_of, objs), oids)))
+            index.extend_unchecked(list(zip(map(key_of, rows), oids)))
+        self._n = base + len(rows)
+        if self._n >= self._next_fold:
+            self._fold_all()
+
+    def _fold_all(self) -> None:
+        for i in range(len(self._tails)):
+            self._fold(i)
+        self._next_fold = self._n + _FOLD_ROWS
+
+    def _fold(self, i: int) -> None:
+        """Move attribute ``i``'s tail into its stored column.
+
+        The tail is typed by :func:`_chunk_column`; a fold whose kind
+        differs from the column's turns the column ``MIXED`` for good,
+        its array back to a list with ``tolist()``, so every value
+        reads back equal to the one appended.  Each kind rule is a test
+        on a type set that holds for a union exactly when it holds for
+        every part (int64 range included), so the kind is the one
+        ``from_records`` would find on all the values however the folds
+        were cut.
+        """
+        tail = self._tails[i]
+        if not tail:
+            return
+        self._tails[i] = []
+        kind, col = self._cols[i]
+        new_kind, new = _chunk_column(tail)
+        if kind is None:
+            kind, col = new_kind, tail if new_kind == MIXED else new
+        elif kind == MIXED:
+            col.extend(tail)
+        elif kind != new_kind:
+            kind, col = MIXED, col.tolist()
+            col.extend(tail)
+        else:
+            col = np.concatenate((col, new))
+        self._cols[i] = kind, col
+
+    def column(self, name: str) -> tuple:
+        """``(kind, stored)``: attribute ``name``'s column over every
+        row (``name`` must be a schema attribute, else KeyError), its
+        tail folded first.  ``stored`` is the column itself, not a
+        copy: an array, or a list when ``MIXED``.
+
+        A selection's type set is a subset of the column's, so
+        ``array[oids]`` of an ``INT``, ``FLOAT`` or ``TEXT`` column is
+        exactly what ``from_records`` builds from those rows.
+        """
+        i = self._pos[name]
+        self._fold(i)
+        return self._cols[i]
+
+    def values(self, name: str, oids) -> list:
+        """Attribute ``name``'s values at ``oids``, as Python objects."""
+        if not len(oids):
+            return []
+        kind, col = self.column(name)
+        if kind == MIXED:
+            return list(map(col.__getitem__, np.asarray(oids).tolist()))
+        return col[oids].tolist()
+
+    def rows(self, oids) -> list[dict]:
+        """The objects at ``oids``, built from the columns in schema
+        attribute order."""
+        names = tuple(self._pos)
+        return [dict(zip(names, values)) for values in
+                zip(*[self.values(name, oids) for name in names])]
 
     def key_columns(self, attrs: tuple, take) -> list | None:
-        """Each attribute's typed column (folded over every object)
-        taken at the oids ``take``, or None unless every one is
-        ``INT`` or ``FLOAT``: the columns a multi-stream merge can
-        ``np.lexsort`` (see :mod:`repro.dsos.query`)."""
-        upto = len(self.objects)
+        """Each attribute's typed column taken at the oids ``take``, or
+        None unless every one is ``INT`` or ``FLOAT``: the columns a
+        multi-stream merge can ``np.lexsort`` (see
+        :mod:`repro.dsos.query`)."""
         out = []
         for attr in attrs:
-            kind, arr = self.column(attr, upto)
+            kind, arr = self.column(attr)
             if kind != INT and kind != FLOAT:
                 return None
             out.append(arr[take])
         return out
-
-    def column(self, name: str, upto: int) -> tuple:
-        """``(kind, array)`` of attribute ``name`` over at least
-        ``objects[:upto]`` (``name`` must be a schema attribute, else
-        KeyError).
-
-        Cells are append-only, so only those past the attribute's own
-        watermark are folded: they are typed by :func:`_chunk_column`
-        and appended; a fold whose kind differs from the column's makes
-        the column ``MIXED`` (no array) for good.  Each kind rule is a
-        test on a type set that holds for a union exactly when it holds
-        for every part (int64 range included), so the kind is the one
-        ``from_records`` would find on all the cells however the folds
-        were cut.  A selection's type set is a subset of it, so
-        ``array[oids]`` of an ``INT``, ``FLOAT`` or ``TEXT`` column is
-        exactly what ``from_records`` builds from those objects while
-        :attr:`keys_exact` holds.
-        """
-        kind, arr, folded = self._columns.get(name, (None, None, 0))
-        if folded >= upto:
-            return kind, arr
-        new_kind, new_arr = _chunk_column(self.cells[name][folded:upto])
-        if kind is None:
-            kind, arr = new_kind, new_arr
-        elif kind != new_kind or kind == MIXED:
-            kind, arr = MIXED, None
-        else:
-            arr = np.concatenate((arr, new_arr))
-        self._columns[name] = kind, arr, upto
-        return kind, arr
 
 
 class Dsosd:
@@ -237,7 +256,7 @@ class Dsosd:
         self.wal = StoreWal() if wal_enabled else None
         #: Sequence numbers applied on this daemon (WAL mode only).
         self.applied: set[int] = set()
-        #: seq -> (schema_name, obj, trace_id); the repair-pull source.
+        #: seq -> (schema_name, oid, trace_id); the repair-pull source.
         self._by_seq: dict[int, tuple] = {}
         # Resilience accounting.
         self.crashes = 0
@@ -264,30 +283,29 @@ class Dsosd:
     # -- ingest ---------------------------------------------------------------
 
     def insert(self, schema_name: str, obj: dict, *, validate: bool = True) -> None:
+        """Store one object.  It must hold exactly the schema's
+        attributes, else :class:`SchemaError` with nothing stored
+        (:meth:`~repro.dsos.schema.Schema.row`)."""
         shard = self._shard(schema_name)
-        if validate:
-            shard.schema.validate(obj)
-        shard.add(obj)
+        shard.add(shard.schema.row(obj, validate=validate))
         self.objects_stored += 1
 
     def insert_many(self, schema_name: str, objs: list, *, validate: bool = True) -> None:
-        """Batch insert, equivalent to sequential :meth:`insert` calls
-        (validation stays interleaved per object, so a mid-batch schema
-        error leaves exactly the objects a sequential caller would)."""
-        shard = self._shard(schema_name)
-        if validate:
-            for obj in objs:
-                shard.schema.validate(obj)
-                shard.add(obj)
-                self.objects_stored += 1
-        else:
-            before = len(shard.objects)
-            try:
-                shard.add_many(objs)
-            finally:
-                # A batch stopped by a missing indexed attribute stored
-                # the objects before it.
-                self.objects_stored += len(shard.objects) - before
+        """Batch insert, equivalent to sequential :meth:`insert` calls:
+        a rejected object raises its error with exactly the objects
+        before it stored."""
+        schema = self._shard(schema_name).schema
+        rows = schema.rows(objs, validate=validate)
+        self.insert_rows(schema_name, rows)
+        if len(rows) < len(objs):
+            schema.row(objs[len(rows)], validate=validate)  # raises
+
+    def insert_rows(self, schema_name: str, rows: list) -> None:
+        """Store a batch of rows the schema built
+        (:meth:`~repro.dsos.schema.Schema.rows`)."""
+        if rows:
+            self._shard(schema_name).add_many(rows)
+            self.objects_stored += len(rows)
 
     def insert_seq(
         self,
@@ -301,7 +319,9 @@ class Dsosd:
     ) -> None:
         """Replicated apply: WAL first, then the in-memory shard.
 
-        The WAL append precedes visibility, so a crash between the two
+        The object is checked against the schema before anything is
+        logged, so the WAL holds only objects a replay can store.  The
+        WAL append precedes visibility, so a crash between the two
         can only lose an object the log already holds — replay puts it
         back.  ``frame`` is the record's WAL bytes when the caller has
         already encoded them (one encoding shared by every replica);
@@ -314,19 +334,18 @@ class Dsosd:
                 f"daemon {self.name} is not in WAL mode; use insert()"
             )
         shard = self._shard(schema_name)
-        if validate:
-            shard.schema.validate(obj)
+        row = shard.schema.row(obj, validate=validate)
         if frame is None:
             self.wal.append(seq, schema_name, obj, trace_id)
         else:
             self.wal.append_frame(frame)
-        shard.add(obj)
+        oid = shard.add(row)
         self.applied.add(seq)
-        self._by_seq[seq] = (schema_name, obj, trace_id)
+        self._by_seq[seq] = (schema_name, oid, trace_id)
         self.objects_stored += 1
 
     def count(self, schema_name: str) -> int:
-        return len(self._shard(schema_name).objects)
+        return len(self._shard(schema_name))
 
     # -- crash / recovery --------------------------------------------------------
 
@@ -363,10 +382,9 @@ class Dsosd:
         recovery = self.wal.recover()
         for record in recovery.entries:
             shard = self._shard(record.schema)
-            obj = record.obj
-            shard.add(obj)
+            oid = shard.add(shard.schema.row(record.obj))
             self.applied.add(record.seq)
-            self._by_seq[record.seq] = (record.schema, obj, record.trace_id)
+            self._by_seq[record.seq] = (record.schema, oid, record.trace_id)
             self.objects_stored += 1
         self.wal_replayed += len(recovery.entries)
         self.wal_truncated_bytes += recovery.truncated_bytes
@@ -375,13 +393,17 @@ class Dsosd:
 
     def records_for(self, seqs) -> list[tuple]:
         """Repair-pull source: ``(seq, schema, obj, trace_id)`` for every
-        requested sequence number this daemon has applied."""
-        out = []
-        for seq in seqs:
-            entry = self._by_seq.get(seq)
-            if entry is not None:
-                out.append((seq, *entry))
-        return out
+        requested sequence number this daemon has applied, in request
+        order, each object built from its shard's columns."""
+        hits = [(seq, *self._by_seq[seq]) for seq in seqs
+                if seq in self._by_seq]
+        objs = {
+            name: iter(self._shard(name).rows(
+                [oid for _, s, oid, _ in hits if s == name]))
+            for name in {name for _, name, _, _ in hits}
+        }
+        return [(seq, name, next(objs[name]), trace_id)
+                for seq, name, _, trace_id in hits]
 
     def apply_repair(self, seq: int, schema_name: str, obj: dict,
                      trace_id: str = "") -> None:
@@ -423,10 +445,11 @@ class Dsosd:
         end: tuple | None = None,
         prefix: tuple | None = None,
         filters: list[tuple] | None = None,
-    ) -> tuple[list, list, int]:
-        """``(keys, oids, scanned)``: the index keys and object ids of
-        the matching objects, in key order, plus the number of index
-        entries scanned (pre-filter) for the cost model."""
+    ) -> tuple[list, np.ndarray, int]:
+        """``(keys, oids, scanned)``: the index keys and object ids (an
+        ``intp`` array) of the matching objects, in key order, plus the
+        number of index entries scanned (pre-filter) for the cost
+        model."""
         shard = self._shard(schema_name)
         if index_name not in shard.indices:
             raise SchemaError(
@@ -438,19 +461,13 @@ class Dsosd:
         checks = self._compile_filters(shard.schema, filters or ())
         keys, oids = index.scan(begin, end, prefix=prefix)
         scanned = len(oids)
-        if not checks:
-            return keys, oids, scanned
-        objects = shard.objects
-        kept_keys, kept_oids = [], []
-        for key, oid in zip(keys, oids):
-            obj = objects[oid]
-            for attr, fn, value in checks:
-                if not fn(obj[attr], value):
-                    break
-            else:
-                kept_keys.append(key)
-                kept_oids.append(oid)
-        return kept_keys, kept_oids, scanned
+        # Each filter runs on the rows the ones before it kept, as a
+        # row-by-row scan that stops at a row's first failing filter.
+        for attr, fn, value in checks:
+            keep = [bool(fn(v, value)) for v in shard.values(attr, oids)]
+            keys = list(compress(keys, keep))
+            oids = oids[np.asarray(keep, dtype=bool)]
+        return keys, oids, scanned
 
     @staticmethod
     def _compile_filters(schema: Schema, filters) -> list[tuple]:

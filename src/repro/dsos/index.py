@@ -5,13 +5,16 @@ both properties by appending new keys to a pending buffer and merging
 it into the sorted backbone on first query (timsort exploits the
 presortedness of timestamp-ordered ingest, so this is near-linear).
 Range lookups are binary searches returning positions, and the scan
-count is surfaced for the index-choice ablation.
+count is surfaced for the index-choice ablation.  The backbone's object
+ids are one ``intp`` array, so a scan's ids are a view of it.
 """
 
 from __future__ import annotations
 
 import bisect
 from operator import itemgetter
+
+import numpy as np
 
 __all__ = ["SortedIndex"]
 
@@ -26,7 +29,9 @@ class SortedIndex:
         self.name = name
         self.key_attrs = tuple(key_attrs)
         self._keys: list[tuple] = []
-        self._oids: list[int] = []
+        #: ``_oids[i]`` is the object id of ``_keys[i]``.  A fold
+        #: builds a new array, so a scan's view never changes.
+        self._oids = np.empty(0, dtype=np.intp)
         self._pending: list[tuple[tuple, int]] = []
 
     def __len__(self) -> int:
@@ -56,15 +61,17 @@ class SortedIndex:
         if not pending:
             return
         pending.sort(key=_KEY)
-        if self._keys and pending[0][0] < self._keys[-1]:
-            merged = list(zip(self._keys, self._oids))
-            merged.extend(pending)
-            merged.sort(key=_KEY)
-            self._keys = list(map(_KEY, merged))
-            self._oids = list(map(_OID, merged))
+        keys = self._keys
+        oids = np.concatenate((self._oids, np.fromiter(
+            map(_OID, pending), dtype=np.intp, count=len(pending))))
+        if keys and pending[0][0] < keys[-1]:
+            keys = keys + list(map(_KEY, pending))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            self._keys = list(map(keys.__getitem__, order))
+            oids = oids[order]
         else:
-            self._keys.extend(map(_KEY, pending))
-            self._oids.extend(map(_OID, pending))
+            keys.extend(map(_KEY, pending))
+        self._oids = oids
         pending.clear()
 
     # -- range scans ----------------------------------------------------------
@@ -75,9 +82,10 @@ class SortedIndex:
         end: tuple | None = None,
         *,
         prefix: tuple | None = None,
-    ) -> tuple[list, list]:
+    ) -> tuple[list, np.ndarray]:
         """Parallel ``(keys, oids)`` slices, in key order: the keys
         starting with ``prefix`` if given, else ``begin <= key < end``.
+        ``oids`` is an ``intp`` view of the backbone's ids.
 
         The keys are the index's own tuples, so a caller that needs each
         row's sort key reads it here instead of rebuilding it from the
@@ -98,7 +106,8 @@ class SortedIndex:
         return keys[lo:hi], self._oids[lo:hi]
 
     def range(self, begin: tuple | None = None, end: tuple | None = None):
-        """Object ids with ``begin <= key < end``, in key order.
+        """Object ids with ``begin <= key < end``, in key order (an
+        ``intp`` array).
 
         ``begin``/``end`` may be key *prefixes* (shorter than the full
         key); prefix semantics follow tuple comparison: a begin prefix
@@ -108,13 +117,14 @@ class SortedIndex:
         return self.scan(begin, end)[1]
 
     def prefix_range(self, prefix: tuple):
-        """Object ids whose key starts with ``prefix``, in key order."""
+        """Object ids whose key starts with ``prefix``, in key order (an
+        ``intp`` array)."""
         return self.scan(prefix=prefix)[1]
 
     def iter_sorted(self):
         """(key, oid) pairs in key order."""
         self._materialize()
-        return zip(self._keys, self._oids)
+        return zip(self._keys, self._oids.tolist())
 
     def min_key(self) -> tuple | None:
         self._materialize()

@@ -19,16 +19,16 @@ the primary restarted with a torn WAL.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import eq
 
 import numpy as np
 
 from repro.dsos.daemon import MIXED
 
-__all__ = ["Query", "QueryResult", "QueryStats"]
+__all__ = ["Query", "QueryResult", "QueryStats", "Rows"]
 
 #: Cost-model constants (seconds); relative magnitudes are what matter.
 _LOOKUP_COST_S = 120e-6
@@ -65,28 +65,65 @@ class QueryStats:
         return max(per_shard) + self.rows_returned * _MERGE_COST_PER_ROW_S
 
 
+class Rows(Sequence):
+    """A query result's rows, in merge order: a read-only sequence
+    whose dicts are built from the shards' columns when read.
+
+    ``len()`` builds nothing.  Indexing, slicing and iteration build
+    each row afresh, in schema attribute order, equal by value to the
+    object inserted; a slice is a list.  Rows compare equal by value to
+    a list of dicts or to other rows.
+    """
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: "QueryResult"):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result)
+
+    def __getitem__(self, i):
+        n = len(self._result)
+        if isinstance(i, slice):
+            return self._result._rows_at(np.arange(*i.indices(n)))
+        if not -n <= i < n:
+            raise IndexError("query row index out of range")
+        return self._result._rows_at(np.array([i % n]))[0]
+
+    def __iter__(self):
+        n = len(self._result)
+        for start in range(0, n, _ROW_BLOCK):
+            yield from self[start:start + _ROW_BLOCK]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Rows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+#: Rows one step of a :class:`Rows` iteration builds.
+_ROW_BLOCK = 1024
+
+
 class QueryResult:
     """Rows (in index order) plus the work accounting.
 
-    A result holds its shard selections and their merge order, not a
-    row list: :attr:`rows` (the shards' own objects) is built when it
-    is first read, and :meth:`frame` builds the same rows' DataFrame
-    from the shards' typed columns without it.
+    A result holds its shard selections and their merge order, not
+    rows: :attr:`rows` builds row dicts from the shards' columns when
+    read, and :meth:`frame` takes the same rows' DataFrame straight from
+    the typed columns.
     """
 
-    def __init__(self, stats: QueryStats, parts: list, order=None,
-                 takes=None):
+    def __init__(self, stats: QueryStats, parts: list, order=None):
         self.stats = stats
         #: ``(shard, oids)`` per non-empty shard selection, in stream
-        #: order, the oids a list (the index scan's own).
+        #: order, the oids an ``intp`` array (a view of the index's).
         self.parts = parts
         #: Merge order: an ``intp`` array of positions into the
-        #: concatenated selections (None: the concatenation itself, a
-        #: lone stream cut to the limit).
+        #: concatenated selections (None: a lone stream, cut to the
+        #: limit).
         self.order = order
-        #: The selections' oids as ``intp`` arrays, when the merge has
-        #: built them (else :meth:`frame` builds them).
-        self._takes = takes
         self._n = (
             sum(len(oids) for _, oids in parts) if order is None else len(order)
         )
@@ -97,40 +134,42 @@ class QueryResult:
     def __iter__(self):
         return iter(self.rows)
 
-    @cached_property
-    def rows(self) -> list[dict]:
-        """The selected objects, in merge order."""
-        objs = list(chain.from_iterable(
-            map(shard.objects.__getitem__, oids) for shard, oids in self.parts
-        ))
-        if self.order is None:
-            return objs
-        return list(map(objs.__getitem__, self.order.tolist()))
+    @property
+    def rows(self) -> Rows:
+        """The selected objects, in merge order (:class:`Rows`)."""
+        return Rows(self)
 
-    def _first_row(self) -> dict:
-        """``rows[0]`` of a non-empty result, without the row list."""
-        pos = 0 if self.order is None else int(self.order[0])
+    def _rows_at(self, positions: np.ndarray) -> list[dict]:
+        """The rows at result ``positions``, built from the columns."""
+        if self.order is not None:
+            positions = self.order[positions]
+        if len(self.parts) == 1:
+            shard, oids = self.parts[0]
+            return shard.rows(oids[positions])
+        out = [None] * len(positions)
+        start = 0
         for shard, oids in self.parts:
-            if pos < len(oids):
-                return shard.objects[oids[pos]]
-            pos -= len(oids)
+            stop = start + len(oids)
+            mine = np.flatnonzero((positions >= start) & (positions < stop))
+            rows = shard.rows(oids[positions[mine] - start])
+            for i, row in zip(mine.tolist(), rows):
+                out[i] = row
+            start = stop
+        return out
 
     def frame(self):
         """``DataFrame.from_records(self.rows)``, taken from columns on
         demand.
 
-        The frame's columns follow the first row's key order and are
-        built the first time they are read: each is each shard's typed
-        column (:meth:`~repro.dsos.daemon._Shard.column`) taken at the
-        selection's object ids, concatenated in stream order and put
-        in merge order, so no row list is built, no row dict is
-        transposed and no column a panel does not read is folded.  A
-        column that is ``MIXED`` on some shard, or whose shards differ
-        in kind, runs ``from_records``' own column rule on the rows.  A
-        shard holding an object without exactly the schema's attributes
-        (its ``keys_exact`` flag, kept at append) sends every row
-        through ``from_records`` here, so a missing attribute raises at
-        this call.  No rows raise ``DataFrameError``.
+        The frame's columns are the schema's attributes, in order, and
+        are built the first time they are read: each is each shard's
+        typed column (:meth:`~repro.dsos.daemon._Shard.column`) taken
+        at the selection's object ids, concatenated in stream order and
+        put in merge order, so no row dict is built and no column a
+        panel does not read is folded.  A column that is ``MIXED`` on
+        some shard, or whose shards differ in kind, runs
+        ``from_records``' own column rule on the selected values.  No
+        rows raise ``DataFrameError``.
         """
         from repro.webservices.dataframe import (
             DataFrame,
@@ -141,25 +180,24 @@ class QueryResult:
         if not self._n:
             raise DataFrameError("query returned no rows")
         shards = [shard for shard, _ in self.parts]
-        if not all(shard.keys_exact for shard in shards):
-            return DataFrame.from_records(self.rows)
-        # Fold no further than the objects the flag covered just now.
-        upto = [len(shard.objects) for shard in shards]
-        takes = self._takes or [
-            np.asarray(oids, dtype=np.intp) for _, oids in self.parts
-        ]
+        takes = [oids for _, oids in self.parts]
         order = self.order
 
         def build(name):
-            folded = [s.column(name, n) for s, n in zip(shards, upto)]
+            folded = [s.column(name) for s in shards]
             kinds = {kind for kind, _ in folded}
             if len(kinds) > 1 or MIXED in kinds:
-                return _column(list(map(itemgetter(name), self.rows)))
+                values = list(chain.from_iterable(
+                    s.values(name, take) for s, take in zip(shards, takes)
+                ))
+                if order is not None:
+                    values = list(map(values.__getitem__, order.tolist()))
+                return _column(values)
             pieces = [arr[take] for (_, arr), take in zip(folded, takes)]
             col = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             return col if order is None else col[order]
 
-        return DataFrame._on_demand(self._first_row(), self._n, build)
+        return DataFrame._on_demand(shards[0].schema.attrs, self._n, build)
 
 
 def _lexsort_order(shards: list, takes: list, attrs: tuple):
@@ -299,16 +337,16 @@ class Query:
                         f"({', '.join(r.name for r in replicas)} all down)"
                     )
                 shard_results.append(self._scan_shard(primary, stats))
-        streams = [s for s in shard_results if s[2]]
+        streams = [s for s in shard_results if len(s[2])]
         if len(streams) < 2:
             # A lone stream is already in key order: nothing to merge.
             parts = [(shard, oids[: self._limit]) for shard, _, oids in streams]
             result = QueryResult(stats, parts)
         else:
             parts = [(shard, oids) for shard, _, oids in streams]
-            takes = [np.asarray(oids, dtype=np.intp) for _, oids in parts]
+            takes = [oids for _, oids in parts]
             attrs = parts[0][0].indices[self.index_name].key_attrs
             order = _merge_order(streams, takes, attrs)[: self._limit]
-            result = QueryResult(stats, parts, order, takes)
+            result = QueryResult(stats, parts, order)
         stats.rows_returned = len(result)
         return result

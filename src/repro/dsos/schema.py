@@ -9,6 +9,7 @@ job over time" (the paper's example) is a prefix range scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = ["Attr", "Schema", "SchemaError", "DARSHAN_DATA_SCHEMA"]
 
@@ -72,6 +73,11 @@ class Schema:
             if not key_attrs:
                 raise SchemaError(f"index {index_name!r} has an empty key")
             self.indices[index_name] = key_attrs
+        #: ``obj -> tuple`` of its value of every attribute, in order.
+        self._values = (
+            itemgetter(*self.attrs) if len(self.attrs) > 1
+            else lambda obj, a=next(iter(self.attrs)): (obj[a],)
+        )
 
     def validate(self, obj: dict) -> None:
         """Check an object against the schema (extra keys rejected)."""
@@ -83,6 +89,55 @@ class Schema:
         missing = set(self.attrs) - set(obj)
         if missing:
             raise SchemaError(f"object missing attributes {sorted(missing)}")
+
+    def row(self, obj: dict, *, validate: bool = False) -> tuple:
+        """``obj``'s value of every attribute, in attribute order: the
+        form a store keeps an object in.
+
+        Raises :class:`SchemaError` unless ``obj`` holds exactly the
+        schema's attributes, and with ``validate`` unless each value
+        has its attribute's type (:meth:`validate`).  Without it the
+        values' types are not checked.
+        """
+        if validate:
+            self.validate(obj)
+            return self._values(obj)
+        try:
+            row = self._values(obj)
+        except KeyError:
+            row = None
+        # Every attribute is present, so any other key is extra.
+        if row is None or len(obj) != len(row):
+            unknown = [key for key in obj if key not in self.attrs]
+            if unknown:
+                raise SchemaError(f"object has unknown attribute {unknown[0]!r}")
+            missing = sorted(set(self.attrs) - set(obj))
+            raise SchemaError(f"object missing attributes {missing}")
+        return row
+
+    def rows(self, objs: list, *, validate: bool = False) -> list[tuple]:
+        """The rows (:meth:`row`) of the longest prefix of ``objs`` the
+        schema accepts: all of ``objs`` unless one is rejected, and then
+        ``row`` of that one raises its error.  Storing these rows and
+        raising that error is what sequential inserts do."""
+        if not validate:
+            values, width = self._values, len(self.attrs)
+            try:
+                rows = list(map(values, objs))
+            except KeyError:
+                pass
+            else:
+                # Each object holds every attribute, so one longer than
+                # the schema holds an extra key.
+                if max(map(len, objs), default=width) == width:
+                    return rows
+        out = []
+        for obj in objs:
+            try:
+                out.append(self.row(obj, validate=validate))
+            except SchemaError:
+                break
+        return out
 
     def key_for(self, index_name: str, obj: dict) -> tuple:
         """The sort key of ``obj`` under ``index_name``."""

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.dsos.client import DsosClient
+from repro.dsos.query import Rows
 from repro.webservices.dataframe import DataFrame
 
 __all__ = ["Dashboard", "DsosDataSource", "Panel", "PanelData", "render_ascii"]
@@ -43,11 +44,13 @@ class DsosDataSource:
             self.schema_name, index, prefix=prefix, begin=begin, end=end, where=where
         )
 
-    def rows(self, *args, **kwargs) -> list[dict]:
-        """Run the query and hand back its rows, in index order: the
-        store's own row objects, so two indices over the same rows
-        return the same objects.  Takes ``index``, ``prefix``, ``begin``,
-        ``end`` and ``where``, as :meth:`query` does."""
+    def rows(self, *args, **kwargs) -> Rows:
+        """Run the query and hand back its rows, in index order: a
+        read-only sequence whose dicts are built from the store's
+        columns when read (:class:`~repro.dsos.query.Rows`), equal by
+        value to the objects inserted, keys in schema attribute order.
+        Takes ``index``, ``prefix``, ``begin``, ``end`` and ``where``,
+        as :meth:`query` does."""
         return self._result(*args, **kwargs).rows
 
     def query(self, *args, **kwargs) -> DataFrame:

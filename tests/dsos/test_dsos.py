@@ -1,5 +1,6 @@
 """Tests for DSOS: schemas, indices, sharded ingest, parallel queries."""
 
+import numpy as np
 import pytest
 
 from repro.dsos import (
@@ -116,9 +117,11 @@ def test_sorted_index_range_half_open():
     idx = SortedIndex("t", ("a",))
     for i in range(10):
         idx.add((i,), i)
-    assert idx.range((3,), (7,)) == [3, 4, 5, 6]
-    assert idx.range(None, (2,)) == [0, 1]
-    assert idx.range((8,), None) == [8, 9]
+    assert idx.range((3,), (7,)).tolist() == [3, 4, 5, 6]
+    # The ids are a view of the index's own intp array.
+    assert idx.range((3,), (7,)).dtype == np.intp
+    assert idx.range(None, (2,)).tolist() == [0, 1]
+    assert idx.range((8,), None).tolist() == [8, 9]
 
 
 def test_sorted_index_prefix_range():
@@ -128,9 +131,9 @@ def test_sorted_index_prefix_range():
         for rank in range(3):
             idx.add((job, rank), oid)
             oid += 1
-    assert idx.prefix_range((1,)) == [0, 1, 2]
-    assert idx.prefix_range((2,)) == [3, 4, 5]
-    assert idx.prefix_range((2, 1)) == [4]
+    assert idx.prefix_range((1,)).tolist() == [0, 1, 2]
+    assert idx.prefix_range((2,)).tolist() == [3, 4, 5]
+    assert idx.prefix_range((2, 1)).tolist() == [4]
     with pytest.raises(ValueError):
         idx.prefix_range((1, 2, 3))
 
@@ -138,9 +141,9 @@ def test_sorted_index_prefix_range():
 def test_sorted_index_add_after_query():
     idx = SortedIndex("t", ("a",))
     idx.add((2,), 0)
-    assert idx.range(None, None) == [0]
+    assert idx.range(None, None).tolist() == [0]
     idx.add((1,), 1)  # add after materialization
-    assert idx.range(None, None) == [1, 0]
+    assert idx.range(None, None).tolist() == [1, 0]
 
 
 def test_sorted_index_key_arity_checked():

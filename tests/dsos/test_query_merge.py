@@ -162,15 +162,23 @@ def test_legacy_query_path_unchanged():
 # NaN keys are not).
 
 
-def _merged(cluster, index):
-    """The rows of every daemon's index stream, concatenated and
-    stably sorted on the stored keys."""
-    entries = []
-    for d in cluster.daemons:
-        shard = d._shard("events")
-        keys, oids = shard.indices[index].scan(None, None)
-        entries += [(k, shard.objects[o]) for k, o in zip(keys, oids)]
-    return [o for _, o in sorted(entries, key=lambda e: e[0])]
+def _merged(objs, n_daemons, index):
+    """The inserted objects as each daemon's index stream (round-robin
+    placement, stable sort on the key), concatenated and stably sorted
+    on the keys."""
+    attrs = _schema().indices[index]
+
+    def key(obj):
+        return tuple(obj[a] for a in attrs)
+
+    streams = [sorted(objs[i::n_daemons], key=key) for i in range(n_daemons)]
+    return sorted((o for s in streams for o in s), key=key)
+
+
+def _cells(rows):
+    """Rows by value: keys in order, each value's type and repr (so NaN
+    equals NaN and -0.0 differs from 0.0)."""
+    return [[(k, type(v), repr(v)) for k, v in r.items()] for r in rows]
 
 
 def _flat(n_daemons=3):
@@ -186,14 +194,17 @@ def _flat(n_daemons=3):
 ], ids=["floats", "nan", "int-and-float"])
 def test_multi_stream_merge_is_the_stable_sort_of_the_streams(stamps):
     c = _flat()
-    for i, ts in enumerate(stamps):
-        c.insert("events", {"job_id": i % 2, "rank": i % 3, "timestamp": ts},
-                 validate=False)
+    objs = [{"job_id": i % 2, "rank": i % 3, "timestamp": ts}
+            for i, ts in enumerate(stamps)]
+    for obj in objs:
+        c.insert("events", obj, validate=False)
     for index in ("time_job", "job_time"):
         got = c.query("events", index).execute().rows
-        want = _merged(c, index)
+        want = _merged(objs, len(c.daemons), index)
         assert len(got) == len(want) == len(stamps)
-        assert all(g is w for g, w in zip(got, want)), index
+        # Rows are built from the columns: equal by value, not the
+        # inserted objects themselves.
+        assert _cells(got) == _cells(want), index
 
 
 def test_equal_keys_come_from_the_earlier_stream_first():

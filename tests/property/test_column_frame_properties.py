@@ -1,8 +1,8 @@
 """Differential pin: a query's column frame equals ``from_records`` of its rows.
 
 :meth:`QueryResult.frame` builds a DataFrame from each shard's typed
-columns (folded lazily from the shard's objects) instead of
-transposing the row dicts.  It must equal
+columns (the store's only copy of its rows) instead of transposing
+row dicts.  It must equal
 ``DataFrame.from_records(result.rows)`` exactly: the same columns in
 the same order, the same dtype, and the same ``(type, repr)`` for
 every cell, or raise the same exception type.
@@ -14,13 +14,15 @@ with each column's cell kinds redrawn per ingest chunk; ingest
 interleaved with queries, so folds happen mid-stream; replica crashes
 (torn WAL tails replay as JSON, keys sorted), recoveries and repairs;
 prefix, range, ``where`` and ``limit`` specs; and, on flat clusters,
-unvalidated objects with a missing or an extra attribute.
+unvalidated objects with a missing or an extra attribute, which the
+store must refuse with nothing stored.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dsos import Attr, DsosCluster, Schema
+from repro.dsos import Attr, DsosCluster, Schema, SchemaError
 from repro.webservices import DataFrame
 from repro.webservices.dataframe import DataFrameError
 
@@ -137,6 +139,15 @@ def _query(draw, cluster):
     return q
 
 
+def _assert_refused(cluster, obj):
+    """An object without exactly the schema's attributes raises, with
+    nothing stored."""
+    before = cluster.count(_SCHEMA.name)
+    with pytest.raises(SchemaError):
+        cluster.insert(_SCHEMA.name, obj, validate=False)
+    assert cluster.count(_SCHEMA.name) == before
+
+
 def _cells(arr):
     return [(type(v), repr(v)) for v in arr.tolist()]
 
@@ -194,8 +205,7 @@ def test_column_frame_equals_from_records_of_the_rows(topology, data):
                     cluster.query(_SCHEMA.name, "time_job").execute()
                 )
         elif step == "odd":
-            cluster.insert(_SCHEMA.name, _odd_object(data.draw, ordinal),
-                           validate=False)
+            _assert_refused(cluster, _odd_object(data.draw, ordinal))
         elif step == "query":
             _assert_frame_is_from_records(
                 data.draw(_query(cluster)).execute()
@@ -220,11 +230,10 @@ def test_column_frame_equals_from_records_of_the_rows(topology, data):
 # A query's frame builds each column the first time it is read.  The
 # pins below read a drawn subset of the columns in a drawn order,
 # directly or through ``filter``, ``sort_by``, ``head`` or
-# ``groupby(...).apply``, sometimes only after more objects (odd ones
-# included) have landed, and compare each read column with the same
-# read of the eager ``from_records`` frame.  Unvalidated objects may
-# miss, add or swap an attribute; the frame must then fail or fall
-# back at the ``frame()`` call itself.
+# ``groupby(...).apply``, sometimes only after more objects have landed
+# (or been refused), and compare each read column with the same read
+# of the eager ``from_records`` frame.  Unvalidated objects may miss,
+# add or swap an attribute; the store refuses them.
 
 
 def _misfit_object(draw, ordinal: int) -> dict:
@@ -327,8 +336,7 @@ def test_columns_read_on_demand_equal_from_records(topology, data):
             else:
                 cluster.insert_many(_SCHEMA.name, objs, validate=False)
         elif step == "odd":
-            cluster.insert(_SCHEMA.name, _misfit_object(data.draw, ordinal),
-                           validate=False)
+            _assert_refused(cluster, _misfit_object(data.draw, ordinal))
         elif step == "query":
             taken = _take_frame(data.draw(_query(cluster)).execute())
             if taken is None:

@@ -129,7 +129,8 @@ def _campaign_fingerprint(seed: int, telemetry: bool) -> tuple:
         collective=False, sync_per_iteration=False,
     )
     result = run_job(world, app, "nfs", connector_config=ConnectorConfig())
-    rows = world.query_job(result.job_id).rows
+    # Rows are built from the store's columns when read: list them.
+    rows = list(world.query_job(result.job_id).rows)
     return (
         result.runtime_s,
         result.messages_published,

@@ -8,7 +8,7 @@ frame cannot be written through, an empty query fails at the same
 panel as before, every frame comes from the store's columns yet
 equals ``from_records`` of its rows, a render folds and builds only
 the columns its panels read (nothing at all on an unchanged store),
-it builds no row list, and it never imports ``numpy.ma``.
+it builds no row dict, and it never imports ``numpy.ma``.
 """
 
 import json
@@ -347,17 +347,15 @@ def _shards(world):
     return [d._shard("darshan_data") for d in world.dsos.cluster.daemons]
 
 
-class _ReadByOid(list):
-    """A shard's objects that a render may read only by object id: a
-    slice or a walk of the list (a key-set scan, a row-dict transpose)
-    fails the test."""
+def _no_rows(shard, oids):
+    raise AssertionError("a render built row dicts")
 
-    def __getitem__(self, i):
-        assert not isinstance(i, slice), "a render sliced a shard's objects"
-        return super().__getitem__(i)
 
-    def __iter__(self):
-        raise AssertionError("a render walked a shard's objects")
+def _folded(world) -> set:
+    """The attributes whose tail some shard has folded."""
+    return {name for shard in _shards(world)
+            for name, tail in zip(shard.schema.attrs, shard._tails)
+            if not tail}
 
 
 def _count_folds(monkeypatch) -> list:
@@ -382,10 +380,10 @@ def test_board_folds_and_builds_only_what_its_panels_read(
     board = _capturing(_figure_board(None if whole_store else job), frames)
     source = DsosDataSource(world.dsos)
     folds = _count_folds(monkeypatch)
-    # Cells and the key-exactness flag were taken at append: no render
-    # reads an object except the selected ones, by id.
-    for shard in _shards(world):
-        monkeypatch.setattr(shard, "objects", _ReadByOid(shard.objects))
+    # The store is below the fold cadence: every tail still holds rows.
+    assert _folded(world) == set()
+    # Frames come from the columns: no render builds a row dict.
+    monkeypatch.setattr(dsosd._Shard, "rows", _no_rows)
     first = board.render(source)
     assert folds
     assert len({id(df) for df in frames}) == 2
@@ -394,8 +392,7 @@ def test_board_folds_and_builds_only_what_its_panels_read(
     assert built == _READ
     # The multi-stream merge also folds the index key attributes
     # (job_id, rank, timestamp) to order the selections.
-    folded = set().union(*(shard._columns for shard in _shards(world)))
-    assert folded == _READ | {"rank"}
+    assert _folded(world) == _READ | {"rank"}
 
     # An unchanged store: nothing folded again.
     folds.clear()
@@ -408,8 +405,9 @@ def test_board_folds_and_builds_only_what_its_panels_read(
 
 # ------------------------------------------------------ lazy row lists
 #
-# A query result holds its selections and merge order; its row list is
-# built only when ``rows`` is read, and a frame never reads it.
+# A query result holds its selections and merge order; row dicts are
+# built from the shards' columns only when ``rows`` is read, and a
+# frame never builds one.
 
 
 def _capture_results(monkeypatch) -> list:
@@ -431,11 +429,11 @@ def test_figure_board_render_builds_no_row_list(
 ):
     world, jobs = request.getfixturevalue(world_name)
     results = _capture_results(monkeypatch)
+    monkeypatch.setattr(dsosd._Shard, "rows", _no_rows)
     _figure_board(None if whole_store else jobs[0]).render(
         DsosDataSource(world.dsos))
     assert len(results) == 2
     assert all(len(r.parts) > 1 for r in results)  # the merge ran
-    assert all("rows" not in vars(r) for r in results)
 
 
 @pytest.mark.parametrize("world_name", _WORLDS)
@@ -445,15 +443,15 @@ def test_rows_read_after_frame_equal_the_eager_rows(
 ):
     world, jobs = request.getfixturevalue(world_name)
     cluster = world.dsos.cluster
-    eager = cluster.query("darshan_data", index).execute()
-    eager_rows = eager.rows
+    eager_rows = list(cluster.query("darshan_data", index).execute().rows)
     lazy = cluster.query("darshan_data", index).execute()
-    lazy.frame().col("timestamp")
-    assert "rows" not in vars(lazy)
+    stamps = lazy.frame().col("timestamp")
     assert len(lazy) == len(eager_rows) > 0
+    # Rows are built from the columns on each read: equal by value.
     got = lazy.rows
-    assert [id(r) for r in got] == [id(r) for r in eager_rows]
-    assert lazy.rows is got  # built once
+    assert got == eager_rows
+    assert list(got) == eager_rows
+    assert [r["timestamp"] for r in got] == stamps.tolist()
 
 
 _MA_PROBE = """
