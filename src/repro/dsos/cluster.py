@@ -264,7 +264,11 @@ class DsosCluster:
         if not self.sharded:
             raise SchemaError("insert_replicated requires a sharded cluster")
         # Rejected before a sequence number or a WAL record exists.
-        self.schema(schema_name).row(obj, validate=validate)
+        schema = self.schema(schema_name)
+        row = schema.row(obj, validate=validate)
+        if validate:
+            # Logged as stored: an int under a float attribute as a float.
+            obj = dict(zip(schema.attrs, row))
         shard = self.shard_of(schema_name, obj)
         replicas = self.replica_sets[shard]
         live = [r for r in replicas if r.alive]
@@ -279,8 +283,7 @@ class DsosCluster:
         frame = WalRecord.make(seq, schema_name, obj, trace_id).encode()
         for replica in live:
             replica.insert_seq(
-                schema_name, seq, obj, trace_id=trace_id, validate=False,
-                frame=frame,
+                schema_name, seq, obj, trace_id=trace_id, frame=frame, row=row,
             )
         acks = len(live)
         self._copies[shard][seq] = acks

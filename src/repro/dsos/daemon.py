@@ -1,9 +1,13 @@
 """dsosd: one storage daemon holding object shards.
 
 Each daemon stores a shard of every schema's objects together with the
-schema's indices over *its* shard.  Cluster-level queries fan out to
-daemons and merge; the per-daemon work (rows scanned in index order) is
-what the latency model charges.
+schema's indices over *its* shard.  A shard keeps each attribute as one
+column of the attribute's schema dtype (int64, float64, or object for
+strings), so every object it stores must be an exact row
+(:meth:`~repro.dsos.schema.Schema.row`): checked on insert, or vouched
+for by a caller passing ``validate=False``.  Cluster-level queries fan
+out to daemons and merge; the per-daemon work (rows scanned in index
+order) is what the latency model charges.
 
 Replicated clusters run daemons in **WAL mode**: every applied object
 carries a cluster-assigned per-shard sequence number, is logged to a
@@ -59,35 +63,9 @@ def _key_getter(positions: tuple):
     return itemgetter(*positions)
 
 
-#: Kinds of a shard column (see :meth:`_Shard.column`).
-INT, FLOAT, TEXT, MIXED = "int", "float", "text", "mixed"
-
-#: Value types a ``TEXT`` column may hold: no number, and nothing numpy
-#: would descend into when building an object array (a tuple would).
-_TEXT_TYPES = frozenset({str, type(None)})
-
 #: Rows a shard appends between two folds of every column's tail: no
 #: tail ever holds more.
 _FOLD_ROWS = 1024
-
-
-def _chunk_column(values: list) -> tuple:
-    """``(kind, array)`` for one fold's values of a column, by
-    ``DataFrame.from_records``'s rule on their type set: ``INT`` when
-    every value is an ``int`` and int64 holds them all, ``FLOAT`` when
-    every value is a ``float``, ``TEXT`` when every value is a str or
-    None, else ``MIXED`` with no array."""
-    types = set(map(type, values))
-    if types == {int}:
-        try:
-            return INT, np.asarray(values, dtype=int)
-        except OverflowError:
-            return MIXED, None
-    if types == {float}:
-        return FLOAT, np.asarray(values, dtype=float)
-    if types <= _TEXT_TYPES:
-        return TEXT, np.asarray(values, dtype=object)
-    return MIXED, None
 
 
 class _Shard:
@@ -95,7 +73,9 @@ class _Shard:
 
     An object is kept only as its values, one column per schema
     attribute: oid ``i`` is row ``i`` of every column, and no row dict
-    is stored.  Values are appended to a Python tail per attribute
+    is stored.  Each column's dtype is its attribute's
+    (:attr:`~repro.dsos.schema.Attr.dtype`: int64, float64, or object
+    for strings).  Values are appended to a Python tail per attribute
     (:meth:`add`, :meth:`add_many`), and a tail is folded into its
     column's stored array every :data:`_FOLD_ROWS` rows and whenever a
     read needs rows past the last fold (:meth:`column`).  Reads build
@@ -104,8 +84,9 @@ class _Shard:
 
     Every stored object goes through :meth:`add` or :meth:`add_many`
     as a row the schema built (:meth:`~repro.dsos.schema.Schema.row`),
-    which holds exactly the schema's attributes; its index keys are
-    taken from the same row, so columns and index keys stay in step.
+    which holds exactly the schema's attributes, each value of its
+    attribute's exact type; its index keys are taken from the same
+    row, so columns and index keys stay in step.
     """
 
     def __init__(self, schema: Schema):
@@ -125,10 +106,8 @@ class _Shard:
         #: Per attribute, in schema order: the values appended since
         #: the attribute's last fold.
         self._tails: list[list] = [[] for _ in schema.attrs]
-        #: Per attribute, in schema order: ``(kind, stored)``, the
-        #: folded rows as an array (a list when ``MIXED``), or
-        #: ``(None, None)`` before the first fold.
-        self._cols: list[tuple] = [(None, None)] * len(schema.attrs)
+        #: Per attribute, in schema order: the folded rows.
+        self._cols = [np.empty(0, attr.dtype) for attr in schema.attrs.values()]
         self._n = 0
         #: Row count at which every tail is folded next.
         self._next_fold = _FOLD_ROWS
@@ -168,56 +147,26 @@ class _Shard:
         self._next_fold = self._n + _FOLD_ROWS
 
     def _fold(self, i: int) -> None:
-        """Move attribute ``i``'s tail into its stored column.
-
-        The tail is typed by :func:`_chunk_column`; a fold whose kind
-        differs from the column's turns the column ``MIXED`` for good,
-        its array back to a list with ``tolist()``, so every value
-        reads back equal to the one appended.  Each kind rule is a test
-        on a type set that holds for a union exactly when it holds for
-        every part (int64 range included), so the kind is the one
-        ``from_records`` would find on all the values however the folds
-        were cut.
-        """
+        """Move attribute ``i``'s tail into its stored column: one
+        conversion to the column's dtype and one concatenate."""
         tail = self._tails[i]
-        if not tail:
-            return
-        self._tails[i] = []
-        kind, col = self._cols[i]
-        new_kind, new = _chunk_column(tail)
-        if kind is None:
-            kind, col = new_kind, tail if new_kind == MIXED else new
-        elif kind == MIXED:
-            col.extend(tail)
-        elif kind != new_kind:
-            kind, col = MIXED, col.tolist()
-            col.extend(tail)
-        else:
-            col = np.concatenate((col, new))
-        self._cols[i] = kind, col
+        if tail:
+            self._tails[i] = []
+            col = self._cols[i]
+            new = np.fromiter(tail, col.dtype, count=len(tail))
+            self._cols[i] = np.concatenate((col, new))
 
-    def column(self, name: str) -> tuple:
-        """``(kind, stored)``: attribute ``name``'s column over every
-        row (``name`` must be a schema attribute, else KeyError), its
-        tail folded first.  ``stored`` is the column itself, not a
-        copy: an array, or a list when ``MIXED``.
-
-        A selection's type set is a subset of the column's, so
-        ``array[oids]`` of an ``INT``, ``FLOAT`` or ``TEXT`` column is
-        exactly what ``from_records`` builds from those rows.
-        """
+    def column(self, name: str) -> np.ndarray:
+        """Attribute ``name``'s column over every row (``name`` must be
+        a schema attribute, else KeyError), its tail folded first: the
+        stored array itself, not a copy."""
         i = self._pos[name]
         self._fold(i)
         return self._cols[i]
 
     def values(self, name: str, oids) -> list:
         """Attribute ``name``'s values at ``oids``, as Python objects."""
-        if not len(oids):
-            return []
-        kind, col = self.column(name)
-        if kind == MIXED:
-            return list(map(col.__getitem__, np.asarray(oids).tolist()))
-        return col[oids].tolist()
+        return self.column(name)[oids].tolist()
 
     def rows(self, oids) -> list[dict]:
         """The objects at ``oids``, built from the columns in schema
@@ -225,19 +174,6 @@ class _Shard:
         names = tuple(self._pos)
         return [dict(zip(names, values)) for values in
                 zip(*[self.values(name, oids) for name in names])]
-
-    def key_columns(self, attrs: tuple, take) -> list | None:
-        """Each attribute's typed column taken at the oids ``take``, or
-        None unless every one is ``INT`` or ``FLOAT``: the columns a
-        multi-stream merge can ``np.lexsort`` (see
-        :mod:`repro.dsos.query`)."""
-        out = []
-        for attr in attrs:
-            kind, arr = self.column(attr)
-            if kind != INT and kind != FLOAT:
-                return None
-            out.append(arr[take])
-        return out
 
 
 class Dsosd:
@@ -284,7 +220,9 @@ class Dsosd:
 
     def insert(self, schema_name: str, obj: dict, *, validate: bool = True) -> None:
         """Store one object.  It must hold exactly the schema's
-        attributes, else :class:`SchemaError` with nothing stored
+        attributes, each of its attribute's type (unchecked with
+        ``validate=False``: the caller vouches for the types), else
+        :class:`SchemaError` with nothing stored
         (:meth:`~repro.dsos.schema.Schema.row`)."""
         shard = self._shard(schema_name)
         shard.add(shard.schema.row(obj, validate=validate))
@@ -316,6 +254,7 @@ class Dsosd:
         trace_id: str = "",
         validate: bool = True,
         frame: bytes | None = None,
+        row: tuple | None = None,
     ) -> None:
         """Replicated apply: WAL first, then the in-memory shard.
 
@@ -323,9 +262,11 @@ class Dsosd:
         logged, so the WAL holds only objects a replay can store.  The
         WAL append precedes visibility, so a crash between the two
         can only lose an object the log already holds — replay puts it
-        back.  ``frame`` is the record's WAL bytes when the caller has
-        already encoded them (one encoding shared by every replica);
-        without it the record is encoded here.
+        back.  ``frame`` is the record's WAL bytes and ``row`` the
+        object's schema row (:meth:`~repro.dsos.schema.Schema.row`)
+        when the caller has already built them (one encoding and one
+        check shared by every replica); without them both are built
+        here.
         """
         if not self.alive:
             raise StoreDownError(f"daemon {self.name} is down")
@@ -334,7 +275,10 @@ class Dsosd:
                 f"daemon {self.name} is not in WAL mode; use insert()"
             )
         shard = self._shard(schema_name)
-        row = shard.schema.row(obj, validate=validate)
+        if row is None:
+            row = shard.schema.row(obj, validate=validate)
+            if validate:
+                obj = dict(zip(shard.schema.attrs, row))
         if frame is None:
             self.wal.append(seq, schema_name, obj, trace_id)
         else:

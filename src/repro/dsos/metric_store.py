@@ -47,16 +47,25 @@ class MetricStreamStore:
             if not isinstance(data, dict) or "metrics" not in data:
                 self.parse_errors += 1
                 return
-            producer = str(data.get("producer", "unknown"))
-            timestamp = float(data.get("timestamp", 0.0))
-            for metric, value in data["metrics"].items():
+            # Every row holds the schema's exact types, so the store
+            # takes it unchecked; a message with a value that is not a
+            # number is a parse error, with nothing stored.
+            try:
+                producer = str(data.get("producer", "unknown"))
+                timestamp = float(data.get("timestamp", 0.0))
+                samples = [(str(metric), float(value))
+                           for metric, value in data["metrics"].items()]
+            except (AttributeError, TypeError, ValueError, OverflowError):
+                self.parse_errors += 1
+                return
+            for metric, value in samples:
                 self.client.cluster.insert(
                     "ldms_metrics",
                     {
                         "producer": producer,
                         "source": source,
-                        "metric": str(metric),
-                        "value": float(value),
+                        "metric": metric,
+                        "value": value,
                         "timestamp": timestamp,
                     },
                     validate=False,

@@ -15,6 +15,11 @@ upgrades the read: every live replica of every shard is consulted and
 lagging replicas are read-repaired (missing objects pulled from peers)
 before the scan, so the rows reflect every surviving object even when
 the primary restarted with a torn WAL.
+
+Results are read from the shards' columns, each of its attribute's
+schema dtype on every shard: a frame takes them at the selected object
+ids, and a multi-stream merge orders them with one ``np.lexsort``
+unless a key is a string or a selected float is NaN.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from itertools import chain
 from operator import eq
 
 import numpy as np
-
-from repro.dsos.daemon import MIXED
 
 __all__ = ["Query", "QueryResult", "QueryStats", "Rows"]
 
@@ -163,41 +166,25 @@ class QueryResult:
 
         The frame's columns are the schema's attributes, in order, and
         are built the first time they are read: each is each shard's
-        typed column (:meth:`~repro.dsos.daemon._Shard.column`) taken
-        at the selection's object ids, concatenated in stream order and
-        put in merge order, so no row dict is built and no column a
-        panel does not read is folded.  A column that is ``MIXED`` on
-        some shard, or whose shards differ in kind, runs
-        ``from_records``' own column rule on the selected values.  No
-        rows raise ``DataFrameError``.
+        typed column (:meth:`~repro.dsos.daemon._Shard.column`, of the
+        attribute's dtype) taken at the selection's object ids,
+        concatenated in stream order and put in merge order, so no row
+        dict is built and no column a panel does not read is folded.
+        No rows raise ``DataFrameError``.
         """
-        from repro.webservices.dataframe import (
-            DataFrame,
-            DataFrameError,
-            _column,
-        )
+        from repro.webservices.dataframe import DataFrame, DataFrameError
 
         if not self._n:
             raise DataFrameError("query returned no rows")
-        shards = [shard for shard, _ in self.parts]
-        takes = [oids for _, oids in self.parts]
+        parts = self.parts
         order = self.order
 
         def build(name):
-            folded = [s.column(name) for s in shards]
-            kinds = {kind for kind, _ in folded}
-            if len(kinds) > 1 or MIXED in kinds:
-                values = list(chain.from_iterable(
-                    s.values(name, take) for s, take in zip(shards, takes)
-                ))
-                if order is not None:
-                    values = list(map(values.__getitem__, order.tolist()))
-                return _column(values)
-            pieces = [arr[take] for (_, arr), take in zip(folded, takes)]
+            pieces = [shard.column(name)[take] for shard, take in parts]
             col = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
             return col if order is None else col[order]
 
-        return DataFrame._on_demand(shards[0].schema.attrs, self._n, build)
+        return DataFrame._on_demand(parts[0][0].schema.attrs, self._n, build)
 
 
 def _lexsort_order(shards: list, takes: list, attrs: tuple):
@@ -206,27 +193,20 @@ def _lexsort_order(shards: list, takes: list, attrs: tuple):
     over the index attributes' typed shard columns, or None when that
     order could differ from the key tuples' own.
 
-    It cannot differ when every key column is ``INT`` or ``FLOAT`` on
-    every part (:meth:`~repro.dsos.daemon._Shard.key_columns`), one
-    kind per attribute across the parts, and no selected float is NaN:
-    int64 and NaN-free float64 values compare as Python compares them
-    (``-0.0 == 0.0``, ±inf at the ends).  Text, bools, ints beyond
-    int64 and mixed columns are not ``INT`` or ``FLOAT``; an int64
-    column beside a float64 one would compare as float64, which ties
-    ints Python tells apart (``2**53 + 1`` and ``2.0**53``); and a NaN
-    is not ordered at all (a stable tuple sort leaves it where its
-    neighbours' compares put it, lexsort puts it last).  Each of those
-    takes the tuple sort.  The kinds are the ones the shards' column
-    folds already keep.
+    Each attribute has its schema's dtype on every shard, and int64
+    and NaN-free float64 values compare as Python compares them
+    (``-0.0 == 0.0``, ±inf at the ends).  Two keys take the tuple
+    sort: a string attribute (an object column), and a selected NaN
+    (not ordered at all: a stable tuple sort leaves it where its
+    neighbours' compares put it, lexsort puts it last).
     """
-    per_part = [shard.key_columns(attrs, take)
-                for shard, take in zip(shards, takes)]
-    if any(cols is None for cols in per_part):
+    schema = shards[0].schema
+    if any(schema.attrs[a].type == "string" for a in attrs):
         return None
     keys = []
+    per_part = [[shard.column(attr)[take] for attr in attrs]
+                for shard, take in zip(shards, takes)]
     for cols in zip(*per_part):
-        if len({col.dtype for col in cols}) > 1:
-            return None
         col = np.concatenate(cols)
         if col.dtype.kind == "f" and np.isnan(col).any():
             return None

@@ -11,13 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+import numpy as np
+
 __all__ = ["Attr", "Schema", "SchemaError", "DARSHAN_DATA_SCHEMA"]
 
-_TYPES = {
-    "int": int,
-    "float": float,
-    "string": str,
+#: Per attribute type: the Python type of a stored value, and the dtype
+#: of the column a store keeps the attribute in.
+TYPES = {
+    "int": (int, np.dtype(np.int64)),
+    "float": (float, np.dtype(np.float64)),
+    "string": (str, np.dtype(object)),
 }
+
+#: The range of an ``int`` attribute's values: int64's.
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
 
 
 class SchemaError(ValueError):
@@ -32,22 +39,42 @@ class Attr:
     type: str
 
     def __post_init__(self) -> None:
-        if self.type not in _TYPES:
+        if self.type not in TYPES:
             raise SchemaError(
                 f"attribute {self.name!r}: unknown type {self.type!r} "
-                f"(expected one of {sorted(_TYPES)})"
+                f"(expected one of {sorted(TYPES)})"
             )
 
-    def validate(self, value) -> None:
-        expected = _TYPES[self.type]
-        # ints are acceptable where floats are declared.
-        if expected is float and isinstance(value, int):
-            return
-        if not isinstance(value, expected):
-            raise SchemaError(
-                f"attribute {self.name!r} expects {self.type}, "
-                f"got {type(value).__name__}: {value!r}"
-            )
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the column holding this attribute."""
+        return TYPES[self.type][1]
+
+    def check(self, value):
+        """``value`` as this attribute stores it, else :class:`SchemaError`.
+
+        ``int`` takes an int that is not a bool and fits int64;
+        ``float`` takes a float, or an int that is not a bool, stored as
+        ``float(value)`` (SOS stores a double attribute as a double);
+        ``string`` takes a str.
+        """
+        if isinstance(value, bool):
+            pass
+        elif self.type == "string":
+            if isinstance(value, str):
+                return value
+        elif self.type == "int":
+            if isinstance(value, int) and INT_MIN <= value <= INT_MAX:
+                return value
+        elif isinstance(value, (int, float)):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        raise SchemaError(
+            f"attribute {self.name!r} expects {self.type}, "
+            f"got {type(value).__name__}: {value!r}"
+        )
 
 
 class Schema:
@@ -78,30 +105,25 @@ class Schema:
             itemgetter(*self.attrs) if len(self.attrs) > 1
             else lambda obj, a=next(iter(self.attrs)): (obj[a],)
         )
+        self._checks = [attr.check for attr in attrs]
 
     def validate(self, obj: dict) -> None:
-        """Check an object against the schema (extra keys rejected)."""
-        for key, value in obj.items():
-            attr = self.attrs.get(key)
-            if attr is None:
-                raise SchemaError(f"object has unknown attribute {key!r}")
-            attr.validate(value)
-        missing = set(self.attrs) - set(obj)
-        if missing:
-            raise SchemaError(f"object missing attributes {sorted(missing)}")
+        """Check an object against the schema (:meth:`row` with
+        ``validate``)."""
+        self.row(obj, validate=True)
 
     def row(self, obj: dict, *, validate: bool = False) -> tuple:
         """``obj``'s value of every attribute, in attribute order: the
         form a store keeps an object in.
 
         Raises :class:`SchemaError` unless ``obj`` holds exactly the
-        schema's attributes, and with ``validate`` unless each value
-        has its attribute's type (:meth:`validate`).  Without it the
-        values' types are not checked.
+        schema's attributes.  With ``validate`` each value must also be
+        one its attribute takes (:meth:`Attr.check`), and the row holds
+        it as stored: an int under a ``float`` attribute becomes a
+        float.  Without it the caller vouches that every value already
+        has its attribute's exact type (an int within int64, a float or
+        a str): the values are stored as given, unchecked.
         """
-        if validate:
-            self.validate(obj)
-            return self._values(obj)
         try:
             row = self._values(obj)
         except KeyError:
@@ -113,6 +135,8 @@ class Schema:
                 raise SchemaError(f"object has unknown attribute {unknown[0]!r}")
             missing = sorted(set(self.attrs) - set(obj))
             raise SchemaError(f"object missing attributes {missing}")
+        if validate:
+            return tuple([check(v) for check, v in zip(self._checks, row)])
         return row
 
     def rows(self, objs: list, *, validate: bool = False) -> list[tuple]:

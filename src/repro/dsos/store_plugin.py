@@ -21,7 +21,7 @@ import json
 from repro.core.batch import ColumnarMessage
 from repro.dsos.client import DsosClient
 from repro.dsos.journal import IngestJournal
-from repro.dsos.schema import DARSHAN_DATA_SCHEMA
+from repro.dsos.schema import DARSHAN_DATA_SCHEMA, INT_MAX, INT_MIN, TYPES
 from repro.telemetry.collector import collector_for
 from repro.telemetry.trace import (
     DROP_PARSE_ERROR,
@@ -34,13 +34,12 @@ from repro.telemetry.trace import (
 
 __all__ = ["DsosStreamStore"]
 
-# Defaults for attributes absent from a message (mirrors the "N/A"/-1
-# conventions of Figure 3).
+# Defaults for attributes absent from a message or unparseable (mirrors
+# the "N/A"/-1 conventions of Figure 3); an int outside int64 (±inf,
+# NaN, 1e30, 2**70) is unparseable too.
 _INT_DEFAULT = -1
 _STR_DEFAULT = "N/A"
 _FLOAT_DEFAULT = -1.0
-
-_EXACT_TYPES = {"int": int, "float": float, "string": str}
 
 #: Varying-slot index per message field, by slot-tuple arity — the two
 #: template layouts of :meth:`repro.core.json_format._Shape.parsed`.
@@ -90,7 +89,9 @@ class DsosStreamStore:
         self._slow = False
         self._slow_pending: list[tuple] = []
         #: (attr_name, comes-from-seg, source key, exact type, type name)
-        #: per schema attribute, in schema order.
+        #: per schema attribute, in schema order.  Every row the plan
+        #: builds holds exactly those types, ints within int64, so the
+        #: store takes it with ``validate=False``.
         self._row_plan = self._compile_row_plan(schema)
         #: id(shape) -> (shape, var-spec | None): the columnar row
         #: builder per message shape (None = self-check failed, build
@@ -120,7 +121,7 @@ class DsosStreamStore:
             else:
                 source = (False, attr.name)
             plan.append(
-                (attr.name, *source, _EXACT_TYPES[attr.type], attr.type)
+                (attr.name, *source, TYPES[attr.type][0], attr.type)
             )
         return plan
 
@@ -322,7 +323,9 @@ class DsosStreamStore:
             obj = {}
             for name, from_seg, key, exact, tname in plan:
                 raw = seg.get(key) if from_seg else data.get(key)
-                if type(raw) is exact:
+                if type(raw) is exact and (
+                    exact is not int or INT_MIN <= raw <= INT_MAX
+                ):
                     obj[name] = raw
                 else:
                     obj[name] = coerce(raw, tname)
@@ -344,22 +347,28 @@ class DsosStreamStore:
         plans = self._columnar_plans
         entry = plans.get(id(shape))
         if entry is None or entry[0] is not shape:
-            spec = self._compile_columnar_spec(shape, values)
-            if spec is not None:
-                built = self._build_columnar(spec, values)
-                if built != self._flatten_fast(shape.parsed(values)):
-                    spec = None
-            plans[id(shape)] = entry = (shape, spec)
+            plans[id(shape)] = (shape, self._compile_columnar_spec(shape, values))
+            built = self.columnar_rows(shape, values)
+            reference = self._flatten_fast(shape.parsed(values))
+            if built == reference:
+                return built
+            plans[id(shape)] = (shape, None)
+            return reference
         spec = entry[1]
         if spec is None:
             return self._flatten_fast(shape.parsed(values))
-        # _build_columnar, inlined (the per-event express path).
         template, var_spec = spec
         coerce = self._coerce
         obj = template.copy()
+        # Template shapes carry exactly one seg entry: one row.
         for name, idx, exact, tname in var_spec:
             raw = values[idx]
-            obj[name] = raw if type(raw) is exact else coerce(raw, tname)
+            if type(raw) is exact and (
+                exact is not int or INT_MIN <= raw <= INT_MAX
+            ):
+                obj[name] = raw
+            else:
+                obj[name] = coerce(raw, tname)
         return [obj]
 
     def _compile_columnar_spec(self, shape, values):
@@ -381,21 +390,11 @@ class DsosStreamStore:
             idx = seg_map.get(key) if from_seg else _VAR_OUTER.get(key)
             if idx is None:
                 raw = shape.seg_base.get(key) if from_seg else shape.base.get(key)
-                template[name] = raw if type(raw) is exact else self._coerce(raw, tname)
+                template[name] = self._coerce(raw, tname)
             else:
                 template[name] = None
                 var_spec.append((name, idx, exact, tname))
         return (template, tuple(var_spec))
-
-    def _build_columnar(self, spec, values) -> list[dict]:
-        template, var_spec = spec
-        coerce = self._coerce
-        obj = template.copy()
-        for name, idx, exact, tname in var_spec:
-            raw = values[idx]
-            obj[name] = raw if type(raw) is exact else coerce(raw, tname)
-        # Template shapes carry exactly one seg entry — one row.
-        return [obj]
 
     def _flatten(self, data: dict):
         segments = data.get("seg") or [{}]
@@ -413,11 +412,14 @@ class DsosStreamStore:
 
     @staticmethod
     def _coerce(raw, type_name: str):
+        """``raw`` as an attribute of type ``type_name`` stores it, with
+        the defaults for None and for anything unparseable."""
         if type_name == "string":
             return str(raw) if raw is not None else _STR_DEFAULT
-        if raw is None or raw == "N/A":
-            return _INT_DEFAULT if type_name == "int" else _FLOAT_DEFAULT
         try:
-            return int(raw) if type_name == "int" else float(raw)
-        except (TypeError, ValueError):
+            if type_name == "float":
+                return float(raw)
+            value = int(raw)
+        except (TypeError, ValueError, OverflowError):
             return _INT_DEFAULT if type_name == "int" else _FLOAT_DEFAULT
+        return value if INT_MIN <= value <= INT_MAX else _INT_DEFAULT

@@ -63,10 +63,14 @@ def test_schema_rejects_wrong_type(schema):
         schema.validate(bad)
 
 
-def test_int_accepted_where_float_declared(schema):
+def test_int_accepted_where_float_declared(schema, cluster):
     obj = _event(1, 0, 1.0)
     obj["timestamp"] = 7  # int into float attr
     schema.validate(obj)
+    # Stored as a float, as SOS stores a double attribute.
+    cluster.insert("events", obj)
+    (row,) = cluster.query("events", "time").execute().rows
+    assert type(row["timestamp"]) is float and row["timestamp"] == 7.0
 
 
 def test_schema_definition_errors():

@@ -5,14 +5,18 @@ replicated ``insert_seq``, WAL ``recover`` and read-repair) hands the
 shard the object's schema row (``Schema.row``), so an object must hold
 exactly the schema's attributes: a missing or an extra key raises
 ``SchemaError`` before anything is stored, WAL record included, with
-``validate=False`` too.  The shard appends each value to its
-attribute's tail and folds the tails into typed columns; reads build
-row dicts from the columns, equal by value to the objects inserted.
+``validate=False`` too.  A validated insert also refuses a value of
+another type (a bool, an int beyond int64, a str in an int attribute,
+a None), with nothing stored.  The shard appends each value to its
+attribute's tail and folds the tails into columns of the attribute's
+dtype; reads build row dicts from the columns, equal by value to the
+objects inserted.
 
 The flag-era test names are kept; each now pins the contract that
 replaced the flag (the object is refused, with nothing stored).
 """
 
+import numpy as np
 import pytest
 
 from repro.dsos import Attr, DsosCluster, Query, Schema, SchemaError
@@ -53,9 +57,9 @@ def _assert_columns_in_step(shard, want=None):
     """Every column, every index and the row count agree; with
     ``want``, the stored rows equal it by value and in schema order."""
     n = len(shard)
-    for name in _SCHEMA.attrs:
-        kind, col = shard.column(name)
-        assert (col is None and n == 0) or len(col) == n, name
+    for name, attr in _SCHEMA.attrs.items():
+        col = shard.column(name)
+        assert len(col) == n and col.dtype == attr.dtype, name
     for index in shard.indices.values():
         assert len(index) == n
         assert sorted(oid for _, oid in index.iter_sorted()) == list(range(n))
@@ -260,19 +264,89 @@ def test_a_column_is_its_stored_array():
     c = _flat()
     c.insert_many("events", [_event(1, r, 0.5) for r in range(3)])
     (shard,) = _shards(c)
-    kind, col = shard.column("rank")
-    assert kind == dsosd.INT and col.tolist() == [0, 1, 2]
-    assert shard.column("rank")[1] is col  # no second copy per read
+    col = shard.column("rank")
+    assert col.dtype == np.int64 and col.tolist() == [0, 1, 2]
+    assert shard.column("rank") is col  # no second copy per read
     assert not shard._tails[1]
-    # A later fold of another kind turns the column back into a list.
+    # Each column's dtype is its attribute's, fixed by the schema.
+    assert [shard.column(a).dtype for a in _SCHEMA.attrs] == [
+        np.int64, np.int64, np.float64, object]
     with pytest.raises(SchemaError):
-        c.insert("events", {**_event(1, 2**64, 0.5), "x": 1}, validate=False)
-    c.insert("events", _event(1, 2**64, 0.5), validate=False)
-    c.insert("events", _event(1, True, 0.5), validate=False)
-    kind, col = shard.column("rank")
-    assert kind == dsosd.MIXED
-    assert col == [0, 1, 2, 2**64, True]
-    assert list(map(type, col)) == [int, int, int, int, bool]
+        c.insert("events", _event(1, 2**64, 0.5))
+    assert shard.column("rank") is col
+
+
+# ------------------------------------------------ validated inserts
+
+#: ``(attribute, value)`` a validated insert refuses.
+_WRONG = {
+    "bool": ("rank", True),
+    "beyond-int64": ("rank", 2**63),
+    "below-int64": ("rank", -(2**63) - 1),
+    "str-in-int": ("rank", "3"),
+    "none": ("op", None),
+    "bool-in-float": ("timestamp", False),
+    "beyond-float": ("timestamp", 10**400),
+    "int-in-string": ("op", 3),
+}
+
+
+def _wrong(case, rank=1):
+    attr, value = _WRONG[case]
+    return {**_event(1, rank, 1.0), attr: value}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG))
+def test_a_validated_insert_refuses_a_wrong_type(case):
+    c = _flat()
+    c.insert("events", _event(1, 0, 0.0))
+    with pytest.raises(SchemaError, match="expects"):
+        c.insert("events", _wrong(case))
+    _assert_stored(c, 1)
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG))
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_a_validated_batch_stores_the_prefix_before_a_wrong_type(case, at):
+    c = _flat()
+    batch = [_event(1, r, float(r)) for r in range(3)]
+    batch[at] = _wrong(case, rank=at)
+    with pytest.raises(SchemaError, match="expects"):
+        c.insert_many("events", batch)
+    (shard,) = _shards(c)
+    assert _stored(shard) == batch[:at]
+    _assert_stored(c, at)
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG))
+def test_a_validated_replicated_insert_refuses_a_wrong_type(case):
+    """Refused before a sequence number or a WAL record exists."""
+    c = DsosCluster("typed", shards=2, replication=2)
+    c.attach_schema(_SCHEMA)
+    c.insert("events", _event(1, 0, 0.0))
+    seqs = list(c._next_seq)
+    records = [d.wal.records_appended for d in c.daemons]
+    with pytest.raises(SchemaError, match="expects"):
+        c.insert_replicated("events", _wrong(case))
+    assert c._next_seq == seqs and c.writes == 1
+    assert [d.wal.records_appended for d in c.daemons] == records
+    assert c.census().objects == c.count("events") == 1
+    for d in c.daemons:
+        _assert_columns_in_step(d._shard("events"))
+
+
+def test_an_int_under_a_float_attribute_is_stored_and_logged_as_a_float():
+    c = DsosCluster("typed", shards=1, replication=2)
+    c.attach_schema(_SCHEMA)
+    c.insert("events", {**_event(1, 0, 0.0), "timestamp": 7})
+    for d in c.daemons:
+        c.crash_daemon(d)
+        c.recover_daemon(d)
+        (row,) = d._shard("events").rows([0])
+        assert type(row["timestamp"]) is float and row["timestamp"] == 7.0
+        # Replayed from the WAL record, which logged the float.
+        ((key, _),) = d._shard("events").indices["job_rank_time"].iter_sorted()
+        assert type(key[2]) is float
 
 
 # ------------------------------------------------- crash, recover, repair

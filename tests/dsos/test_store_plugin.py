@@ -1,5 +1,8 @@
 """Tests for the LDMS → DSOS store plugin."""
 
+import json
+import math
+
 import pytest
 
 from repro.apps import MpiIoTest
@@ -7,10 +10,11 @@ from repro.cluster import Cluster, ClusterSpec
 from repro.core import ConnectorConfig
 from repro.dsos import DARSHAN_DATA_SCHEMA, DsosClient, DsosCluster, DsosStreamStore
 from repro.experiments import World, WorldConfig, run_job
+from repro.experiments.world import STREAM_TAG
 from repro.faults import FaultPlan, SlowStore
 from repro.ldms import Ldmsd
 from repro.sim import Environment, RngRegistry
-from repro.telemetry.trace import STAGE_INGEST, STORED
+from repro.telemetry.trace import STAGE_INGEST, STORED, make_trace_id
 
 TAG = "darshanConnector"
 
@@ -98,6 +102,43 @@ def test_store_handles_na_values(env, daemon, client):
     assert row["max_byte"] == -1
     assert row["seg_len"] == -1
     assert store.parse_errors == 0
+
+
+#: Int fields holding values no int64 holds, as ``json.dumps`` writes
+#: them: ``Infinity``, ``-Infinity`` and ``NaN`` (floats to
+#: ``json.loads``), ``1e+30``, and ints beyond int64.
+_BEYOND_INT64 = {"max_byte": math.inf, "flushes": -math.inf, "cnt": 1e30,
+                 "switches": 2**70}
+_BEYOND_INT64_SEG = {"off": math.nan, "len": -(2**70)}
+
+
+@pytest.mark.parametrize("replicas", [1, 2], ids=["flat", "2x2"])
+@pytest.mark.parametrize("fast_lane", [True, False], ids=["fast", "slow"])
+def test_ints_beyond_int64_in_raw_json_are_stored_as_the_default(
+    fast_lane, replicas
+):
+    """An int field that parses to no int64 is unparseable: stored as
+    -1 on both lanes, flat and replicated, and the message's ledger
+    closes as stored."""
+    world = World(WorldConfig(
+        seed=5, quiet=True, n_compute_nodes=1, telemetry=True,
+        fast_lane=fast_lane, dsos_shards=replicas, dsos_replication=replicas,
+    ))
+    msg = _message()
+    msg.update(_BEYOND_INT64)
+    msg["seg"][0].update(_BEYOND_INT64_SEG)
+    trace_id = make_trace_id(259903, 3, 0)
+    world.telemetry.begin(trace_id, 259903, 3)
+    world.fabric.l2.publish_now(STREAM_TAG, json.dumps(msg), trace_id=trace_id)
+    (row,) = world.dsos.query("darshan_data", "job_id", prefix=(259903,)).rows
+    for attr in [*_BEYOND_INT64, *("seg_" + k for k in _BEYOND_INT64_SEG)]:
+        assert type(row[attr]) is int and row[attr] == -1, attr
+    assert row["seg_dur"] == 0.125 and row["rank"] == 3
+    assert world.store.parse_errors == 0 and world.store.objects_stored == 1
+    ledger = world.telemetry.reconcile()
+    assert ledger == {(259903, 3): {"published": 1, "stored": 1, "dropped": 0,
+                                    "spilled": 0, "in_flight": 0,
+                                    "drops": {}}}
 
 
 def test_store_counts_garbage(env, daemon, client):

@@ -8,15 +8,17 @@ the same order, the same dtype, and the same ``(type, repr)`` for
 every cell, or raise the same exception type.
 
 Hypothesis draws flat clusters of 1–4 daemons and 2×2 replicated
-clusters; objects whose unindexed cells are ints, ints beyond int64,
-floats (NaN and ±inf included), bools, strs, None and ``np.float64``,
-with each column's cell kinds redrawn per ingest chunk; ingest
-interleaved with queries, so folds happen mid-stream; replica crashes
-(torn WAL tails replay as JSON, keys sorted), recoveries and repairs;
-prefix, range, ``where`` and ``limit`` specs; and, on flat clusters,
-unvalidated objects with a missing or an extra attribute, which the
-store must refuse with nothing stored.
+clusters; objects whose cells have their attribute's type (floats with
+NaN, ±inf and ``-0.0``, strs), and validated chunks whose float cells
+may also be ints (beyond int64 too) or ``np.float64``, stored as
+floats; ingest interleaved with queries, so folds happen mid-stream;
+replica crashes (torn WAL tails replay as JSON, keys sorted),
+recoveries and repairs; prefix, range, ``where`` and ``limit`` specs;
+and, on flat clusters, unvalidated objects with a missing or an extra
+attribute, which the store must refuse with nothing stored.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -44,12 +46,13 @@ _SCHEMA = Schema(
 )
 
 #: Indexed cells: small domains, so keys repeat within and across
-#: shards.  A chunk's timestamps are these offsets past twice its
-#: ordinal, so time ranges and limits can select earlier chunks alone.
+#: shards (``-0.0`` ties ``0.0``).  A chunk's timestamps are these
+#: offsets past twice its ordinal, so time ranges and limits can select
+#: earlier chunks alone.
 _KEYED = {
     "job_id": st.integers(0, 3),
     "rank": st.integers(0, 2),
-    "timestamp": st.sampled_from([0, 0.5, 1, 1.0]),
+    "timestamp": st.sampled_from([0.0, -0.0, 0.5, 1.0]),
     "op": st.sampled_from(["open", "read", "write"]),
 }
 
@@ -59,44 +62,54 @@ _QUERY_KEYS = {
     "timestamp": st.sampled_from([0, 0.5, 1, 2, 2.5, 4, 6.0, 8, 10.5, 14]),
 }
 
-#: Unindexed cell kinds a chunk draws its columns from.
-_CELLS = [
-    st.integers(-(2**40), 2**40),
-    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7, 10**400]),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.booleans(),
-    st.text(max_size=3),
-    st.none(),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-]
+_INTS = st.integers(-(2**40), 2**40)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf])
+
+#: Unindexed cells, by attribute type.
+_CELLS = {"float": _FLOATS, "string": st.text(max_size=3)}
+
+#: What a validated chunk's float cells may also be.
+_CONVERTED = (
+    _INTS
+    | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7, 10**300])
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+)
 
 _WILD = ("a", "b", "c")
 
 
 def _keyed(draw, ordinal: int) -> dict:
     obj = {name: draw(cell) for name, cell in _KEYED.items()}
-    obj["timestamp"] += 2 * ordinal
+    if ordinal:
+        obj["timestamp"] += 2 * ordinal
     return obj
 
 
-def _chunk(draw, ordinal: int) -> list:
-    """1–6 objects; each unindexed column draws its cells from one or
-    two kinds chosen for this chunk, so kinds change between chunks."""
-    n = draw(st.integers(1, 6))
-    kinds = {}
-    for name in _WILD:
-        n_kinds = draw(st.sampled_from([1, 1, 2]))
-        kinds[name] = st.one_of(*(_CELLS[k] for k in draw(st.lists(
-            st.sampled_from(range(len(_CELLS))),
-            min_size=n_kinds, max_size=n_kinds, unique=True,
-        ))))
+def _chunk(draw, ordinal: int, validated: bool) -> list:
+    """1–6 objects, each cell of its attribute's type, or for a
+    ``validated`` chunk a number its float attribute converts."""
     objs = []
-    for _ in range(n):
+    for _ in range(draw(st.integers(1, 6))):
         obj = _keyed(draw, ordinal)
         for name in _WILD:
-            obj[name] = draw(kinds[name])
+            kind = _SCHEMA.attrs[name].type
+            cells = _CELLS[kind]
+            if validated and kind == "float":
+                cells = cells | _CONVERTED
+            obj[name] = draw(cells)
         objs.append(obj)
     return objs
+
+
+def _insert(draw, cluster, step, ordinal):
+    validated = draw(st.booleans())
+    objs = _chunk(draw, ordinal, validated)
+    if step == "insert":
+        for obj in objs:
+            cluster.insert(_SCHEMA.name, obj, validate=validated)
+    else:
+        cluster.insert_many(_SCHEMA.name, objs, validate=validated)
 
 
 def _odd_object(draw, ordinal: int) -> dict:
@@ -107,7 +120,7 @@ def _odd_object(draw, ordinal: int) -> dict:
     if draw(st.booleans()):
         del obj[draw(st.sampled_from(_WILD))]
     else:
-        obj["extra"] = draw(_CELLS[0])
+        obj["extra"] = draw(_INTS)
     return obj
 
 
@@ -192,12 +205,7 @@ def test_column_frame_equals_from_records_of_the_rows(topology, data):
     for ordinal in range(data.draw(st.integers(1, 16))):
         step = data.draw(st.sampled_from(steps))
         if step.startswith("insert"):
-            objs = _chunk(data.draw, ordinal)
-            if step == "insert":
-                for obj in objs:
-                    cluster.insert(_SCHEMA.name, obj, validate=False)
-            else:
-                cluster.insert_many(_SCHEMA.name, objs, validate=False)
+            _insert(data.draw, cluster, step, ordinal)
             if data.draw(st.booleans()):
                 # A whole-store frame folds every shard here, so the
                 # next chunk lands in a fold of its own.
@@ -246,12 +254,11 @@ def _misfit_object(draw, ordinal: int) -> dict:
     if how != "extra":
         del obj[draw(st.sampled_from(_WILD))]
     if how != "missing":
-        obj["extra"] = draw(_CELLS[0])
+        obj["extra"] = draw(_INTS)
     return obj
 
 
-#: Columns every stored object holds, with cells a sort and a group-by
-#: accept on every frame (``timestamp`` mixes int and float).
+#: Columns a sort and a group-by accept on every frame.
 _SORTABLE = ("job_id", "rank", "timestamp", "op")
 
 
@@ -329,12 +336,7 @@ def test_columns_read_on_demand_equal_from_records(topology, data):
     for ordinal in range(data.draw(st.integers(1, 16))):
         step = data.draw(st.sampled_from(steps))
         if step.startswith("insert"):
-            objs = _chunk(data.draw, ordinal)
-            if step == "insert":
-                for obj in objs:
-                    cluster.insert(_SCHEMA.name, obj, validate=False)
-            else:
-                cluster.insert_many(_SCHEMA.name, objs, validate=False)
+            _insert(data.draw, cluster, step, ordinal)
         elif step == "odd":
             _assert_refused(cluster, _misfit_object(data.draw, ordinal))
         elif step == "query":

@@ -1,14 +1,12 @@
 """Differential pin: both multi-stream merge paths give the oracle's rows.
 
 A read over several shard streams is ordered by one stable
-``np.lexsort`` over the shards' typed key columns when every key column
-is ``INT`` or ``FLOAT`` on every stream, with one kind per attribute and
-no NaN among the selected floats; any other key (NaN, bools, ints
-beyond int64, str or None, an int column on one shard and a float one
-on another) takes the stable sort of the key tuples.  Whichever path
-runs, the rows must be the oracle's: every object's key rebuilt with
-:meth:`Schema.key_for`, each daemon's objects stably sorted on it, cut
-to the prefix or range, filtered row by row, the streams merged with
+``np.lexsort`` over the shards' typed key columns, each of its
+attribute's dtype on every stream; a string key attribute, or a NaN
+among the selected floats, takes the stable sort of the key tuples.
+Whichever path runs, the rows must be the oracle's: every object's key
+rebuilt with :meth:`Schema.key_for`, each daemon's objects stably
+sorted on it, cut to the prefix or range, filtered row by row, the streams merged with
 ``heapq.merge`` and cut at the limit (NaN keys are not totally ordered,
 so there the oracle is the stable sort of the daemons' own index
 streams).  Rows are compared by value (type and repr of every value,
@@ -17,8 +15,11 @@ must equal ``from_records`` of the rows; and a spy on the path choice
 pins which path ran, so draws meant for ``np.lexsort`` do reach it.
 
 Hypothesis draws flat clusters of 1–4 daemons and 2×2 replicated ones,
-one key flavour per world, and ingest interleaved with prefix, range,
-``where`` and ``limit`` queries.
+one key flavour per world (the type of the ``ts`` attribute and the
+values drawn for it), and ingest interleaved with prefix, range,
+``where`` and ``limit`` queries.  The ``converted`` flavour inserts
+through the schema check, so ints (beyond int64 too) under the float
+``ts`` land as floats.
 """
 
 import heapq
@@ -28,27 +29,31 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro.dsos import Attr, DsosCluster, Schema
+from repro.dsos import Attr, DsosCluster, Schema, SchemaError
 from repro.dsos import query as dsos_query
 from repro.webservices import DataFrame
 from repro.webservices.dataframe import DataFrameError
 
-_SCHEMA = Schema(
-    "ev",
-    [
-        Attr("job_id", "int"),
-        Attr("rank", "int"),
-        Attr("ts", "float"),
-        Attr("tag", "string"),
-        Attr("seq", "int"),
-    ],
-    {
-        "job_rank_ts": ("job_id", "rank", "ts"),
-        "ts_job": ("ts", "job_id"),
-        "rank_ts": ("rank", "ts"),
-        "tag_ts": ("tag", "ts"),
-    },
-)
+_INDICES = {
+    "job_rank_ts": ("job_id", "rank", "ts"),
+    "ts_job": ("ts", "job_id"),
+    "rank_ts": ("rank", "ts"),
+    "tag_ts": ("tag", "ts"),
+}
+
+
+def _schema(ts_type: str) -> Schema:
+    return Schema(
+        "ev",
+        [
+            Attr("job_id", "int"),
+            Attr("rank", "int"),
+            Attr("ts", ts_type),
+            Attr("tag", "string"),
+            Attr("seq", "int"),
+        ],
+        _INDICES,
+    )
 
 _JOBS = st.integers(0, 3)
 _RANKS = st.integers(0, 2)
@@ -57,81 +62,66 @@ _TAGS = st.sampled_from(["", "a", "b"])
 _INT64 = [-(2**63), 2**63 - 1]
 _FLOATS = [-math.inf, -1.5, -0.0, 0.0, 0.5, 2.0, math.inf]
 
-#: ``ts`` values per key flavour.  ``int`` and ``float`` are the
-#: ``np.lexsort`` flavours; each other one makes a key column the tuple
-#: sort must order.  ``mix`` puts ints on the first stream and floats
-#: on the others, with values a cast to float64 would tie (2**53 + 1
-#: is above 2.0**53 in Python, equal to it as float64).
+#: Per key flavour: the type of ``ts``, and the values drawn for it.
+#: ``text`` and ``nan`` make a key the tuple sort must order; the
+#: others take ``np.lexsort``.  ``converted`` draws ints (ints beyond
+#: int64, and 2**53 + 1, which is above 2.0**53 in Python and equal to
+#: it as a float, included) and floats, inserted with validation.
 _FLAVOURS = {
-    "int": st.sampled_from(_INT64) | st.integers(-3, 3),
-    "float": st.sampled_from(_FLOATS),
-    "nan": st.sampled_from(_FLOATS + [math.nan]),
-    "bool": st.booleans() | st.integers(0, 2),
-    "bigint": st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7])
-    | st.integers(-3, 3),
-    "text": _TAGS,
-    "mix": None,
+    "int": ("int", st.sampled_from(_INT64) | st.integers(-3, 3)),
+    "float": ("float", st.sampled_from(_FLOATS)),
+    "nan": ("float", st.sampled_from(_FLOATS + [math.nan])),
+    "text": ("string", _TAGS),
+    "converted": ("float", st.sampled_from(
+        [1, 2**53 + 1, -(2**63), 2**64 + 7, 1.0, 0.5, 2.0**53])),
 }
-_MIX_INT = st.sampled_from([1, 2**53 + 1, -(2**63)])
-_MIX_FLOAT = st.sampled_from([1.0, 0.5, 2.0**53])
 
 
-def _cluster(topology: str, n_daemons: int):
+def _cluster(topology: str, n_daemons: int, schema: Schema):
     if topology == "flat":
         cluster = DsosCluster("m", n_daemons=n_daemons)
     else:
         cluster = DsosCluster("m", shards=2, replication=2)
-    cluster.attach_schema(_SCHEMA)
+    cluster.attach_schema(schema)
     return cluster
 
 
 class _World:
     """A cluster plus the drawing rules of its key flavour."""
 
-    def __init__(self, cluster, flavour):
-        self.cluster = cluster
+    def __init__(self, topology, n_daemons, flavour):
+        ts_type, self.ts_values = _FLAVOURS[flavour]
+        self.schema = _schema(ts_type)
+        self.cluster = _cluster(topology, n_daemons, self.schema)
         self.flavour = flavour
+        self.validated = flavour == "converted"
         self.inserted = 0
-
-    def _stream_of(self, obj, ahead: int) -> int:
-        """The stream (daemon or shard) ``obj`` lands on when ``ahead``
-        objects are inserted before it (flat clusters place objects
-        round-robin, replicated ones by job hash)."""
-        if self.cluster.sharded:
-            return self.cluster.shard_of(_SCHEMA.name, obj)
-        return (self.inserted + ahead) % len(self.cluster.daemons)
 
     def domain(self, attr):
         if attr == "job_id":
             return _JOBS
         if attr == "rank":
-            # Text worlds key on None ranks (None == None; never < str).
-            return st.none() if self.flavour == "text" else _RANKS
+            return _RANKS
         if attr == "tag":
             return _TAGS
-        if self.flavour == "mix":
-            return _MIX_INT | _MIX_FLOAT
-        return _FLAVOURS[self.flavour]
+        return self.ts_values
 
     def objects(self, draw) -> list:
         objs = []
         for _ in range(draw(st.integers(1, 6))):
             obj = {a: draw(self.domain(a)) for a in ("job_id", "rank", "tag")}
             obj["seq"] = self.inserted + len(objs)
-            if self.flavour == "mix":
-                first = self._stream_of(obj, len(objs)) == 0
-                obj["ts"] = draw(_MIX_INT if first else _MIX_FLOAT)
-            else:
-                obj["ts"] = draw(self.domain("ts"))
+            obj["ts"] = draw(self.domain("ts"))
             objs.append(obj)
         return objs
 
     def insert(self, objs, batched: bool) -> None:
+        validate = self.validated
         if batched:
-            self.cluster.insert_many(_SCHEMA.name, objs, validate=False)
+            self.cluster.insert_many("ev", objs, validate=validate)
         else:
             for obj in objs:
-                self.cluster.insert(_SCHEMA.name, obj, validate=False)
+                self.cluster.insert("ev", obj, validate=validate)
         self.inserted += len(objs)
 
 
@@ -184,9 +174,9 @@ def _oracle(cluster, spec) -> list:
     name = spec["index"]
     streams = []
     for daemon in _daemons(cluster):
+        shard = daemon._shard("ev")
         keyed = sorted(
-            ((_SCHEMA.key_for(name, o), o)
-             for o in _objects(daemon._shard(_SCHEMA.name))),
+            ((shard.schema.key_for(name, o), o) for o in _objects(shard)),
             key=lambda kv: kv[0],
         )
         streams.append([kv for kv in keyed
@@ -203,10 +193,10 @@ def _nan_oracle(cluster, spec) -> list:
     entries, streams = [], 0
     for daemon in _daemons(cluster):
         keys, oids, _ = daemon.query_shard(
-            _SCHEMA.name, spec["index"], begin=spec["begin"],
+            "ev", spec["index"], begin=spec["begin"],
             end=spec["end"], prefix=spec["prefix"], filters=spec["where"],
         )
-        entries += zip(keys, daemon._shard(_SCHEMA.name).rows(oids))
+        entries += zip(keys, daemon._shard("ev").rows(oids))
         streams += bool(len(oids))
     if streams > 1:
         entries.sort(key=lambda kv: kv[0])
@@ -234,27 +224,16 @@ def _path_spy():
         dsos_query._lexsort_order = lexsort_order
 
 
-def _kind(values):
-    types = set(map(type, values))
-    if types == {int} and all(-(2**63) <= v < 2**63 for v in values):
-        return "int"
-    return "float" if types == {float} else None
-
-
-def _expected_path(result, attrs) -> str:
-    """The documented rule, restated on the stored objects: every key
-    column of every merged stream all int64 ints or all floats, one
-    kind per attribute, and no NaN in the selections."""
-    for attr in attrs:
-        kinds = {_kind([o[attr] for o in _objects(shard)])
-                 for shard, _ in result.parts}
-        if len(kinds) != 1 or None in kinds:
-            return "tuple"
-        # The selections, not the rows: the limit cuts after the merge.
-        selected = [o[attr] for shard, oids in result.parts
-                    for o in shard.rows(oids)]
-        if kinds == {"float"} and any(map(math.isnan, selected)):
-            return "tuple"
+def _expected_path(schema, result, attrs) -> str:
+    """The documented rule, restated on the stored objects: no string
+    key attribute, and no NaN in the selections."""
+    if any(schema.attrs[a].type == "string" for a in attrs):
+        return "tuple"
+    # The selections, not the rows: the limit cuts after the merge.
+    selected = [o[a] for shard, oids in result.parts
+                for o in shard.rows(oids) for a in attrs]
+    if any(isinstance(v, float) and math.isnan(v) for v in selected):
+        return "tuple"
     return "lexsort"
 
 
@@ -263,14 +242,14 @@ def _expected_path(result, attrs) -> str:
 
 @st.composite
 def _key_part(draw, world, index):
-    attrs = _SCHEMA.indices[index]
+    attrs = _INDICES[index]
     n = draw(st.integers(1, len(attrs)))
     return tuple(draw(world.domain(a)) for a in attrs[:n])
 
 
 @st.composite
 def _spec(draw, world):
-    index = draw(st.sampled_from(sorted(_SCHEMA.indices)))
+    index = draw(st.sampled_from(sorted(_INDICES)))
     spec = {"index": index, "prefix": None, "begin": None, "end": None}
     shape = draw(st.sampled_from(["all", "all", "prefix", "range"]))
     if shape == "prefix":
@@ -290,7 +269,7 @@ def _spec(draw, world):
 
 
 def _execute(cluster, spec):
-    q = cluster.query(_SCHEMA.name, spec["index"])
+    q = cluster.query("ev", spec["index"])
     if spec["prefix"] is not None:
         q.prefix(*spec["prefix"])
     if spec["begin"] is not None or spec["end"] is not None:
@@ -333,8 +312,8 @@ def _check(world, spec) -> str | None:
     if len(result.parts) < 2:
         assert paths == []
         return None
-    attrs = _SCHEMA.indices[spec["index"]]
-    assert paths == [_expected_path(result, attrs)]
+    attrs = _INDICES[spec["index"]]
+    assert paths == [_expected_path(world.schema, result, attrs)]
     return paths[0]
 
 
@@ -356,7 +335,7 @@ _WHOLE = {"prefix": None, "begin": None, "end": None, "where": [],
 )
 def test_merge_paths_match_the_key_for_merge_oracle(topology, n_daemons,
                                                     flavour, data):
-    world = _World(_cluster(topology, n_daemons), flavour)
+    world = _World(topology, n_daemons, flavour)
     world.insert(world.objects(data.draw), data.draw(st.booleans()))
     for _ in range(data.draw(st.integers(1, 12))):
         step = data.draw(st.sampled_from(["insert", "insert_many", "query"]))
@@ -373,10 +352,18 @@ def test_merge_paths_match_the_key_for_merge_oracle(topology, n_daemons,
 
 
 def _fixed_world(flavour, ts_values, *, n_daemons=3):
-    world = _World(_cluster("flat", n_daemons), flavour)
-    objs = [{"job_id": i % 2, "rank": i % 3, "ts": ts, "tag": "a", "seq": i}
-            for i, ts in enumerate(ts_values)]
-    world.insert(objs, batched=False)
+    """A flat world holding ``ts_values`` (``bool``, ``bigint`` and
+    ``mix`` go through the schema check of the ``converted`` flavour:
+    a bool is refused, an int lands as a float)."""
+    validated = flavour in ("bool", "bigint", "mix")
+    world = _World("flat", n_daemons, "converted" if validated else flavour)
+    for i, ts in enumerate(ts_values):
+        obj = {"job_id": i % 2, "rank": i % 3, "ts": ts, "tag": "a", "seq": i}
+        if type(ts) is bool:
+            with pytest.raises(SchemaError):
+                world.insert([obj], batched=False)
+        else:
+            world.insert([obj], batched=False)
     return world
 
 
@@ -385,11 +372,13 @@ def _fixed_world(flavour, ts_values, *, n_daemons=3):
     ("float", [0.5, -0.0, 0.0, math.inf, -math.inf, 0.0, 0.5, -0.0, 1e300],
      "lexsort"),
     ("nan", [0.5, math.nan, 0.0, 0.5, math.nan, 0.25], "tuple"),
-    ("bool", [1, True, 0, False, 2, 1], "tuple"),
-    ("bigint", [2**64 + 7, 0, 1, 2, -3, 0], "tuple"),
+    # The bools are refused; the ints land as floats.
+    ("bool", [1, True, 0, False, 2, 1], "lexsort"),
+    ("bigint", [2**64 + 7, 0, 1, 2, -3, 0], "lexsort"),
     ("text", ["b", "a", "", "a", "b", ""], "tuple"),
-    # Daemon 0 holds ints, daemons 1 and 2 floats.
-    ("mix", [2**53 + 1, 2.0**53, 0.5, 1, 1.0, 2.0**53], "tuple"),
+    # Daemon 0 gets ints, daemons 1 and 2 floats; all land as floats,
+    # so 2**53 + 1 ties 2.0**53.
+    ("mix", [2**53 + 1, 2.0**53, 0.5, 1, 1.0, 2.0**53], "lexsort"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 @pytest.mark.parametrize("index", ["job_rank_ts", "ts_job"])
 def test_each_key_flavour_takes_its_path(flavour, ts_values, path, index):

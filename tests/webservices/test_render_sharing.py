@@ -359,14 +359,16 @@ def _folded(world) -> set:
 
 
 def _count_folds(monkeypatch) -> list:
+    """The length of every non-empty tail a shard folds from now on."""
     folds = []
-    chunk_column = dsosd._chunk_column
+    fold = dsosd._Shard._fold
 
-    def counted(values):
-        folds.append(len(values))
-        return chunk_column(values)
+    def counted(shard, i):
+        if shard._tails[i]:
+            folds.append(len(shard._tails[i]))
+        return fold(shard, i)
 
-    monkeypatch.setattr(dsosd, "_chunk_column", counted)
+    monkeypatch.setattr(dsosd._Shard, "_fold", counted)
     return folds
 
 
