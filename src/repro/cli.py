@@ -337,8 +337,7 @@ def _cmd_chaos(args) -> None:
         world, result = run_campaign(
             seed, lane=lane, faults=partition_plan(args.fail_after),
             ranks_per_node=args.ranks_per_node)
-        journal = world.store.journal
-        duplicates = journal.duplicates_skipped if journal else 0
+        duplicates = world.store.journal.duplicates_skipped
         if not result.health.verify():
             broken.append(seed)
         if args.json:

@@ -300,7 +300,7 @@ class ColumnarSpine:
             return False
         if world._samplers_running or world._pipeline_samplers_running:
             return False
-        if not store._fast or store._slow or store._bus.in_batch:
+        if not store._fast or store._slow:
             return False
         # Replicated DSOS: quorum acks and per-write sequence numbers
         # are not virtualizable — the express spine only serves the
@@ -340,7 +340,7 @@ class ColumnarSpine:
                 return False
             self._l0[name] = _VirtualForwarder(self, d._forwarders[0], dlinks[0])
         self._journal = store.journal
-        self._sbus_stats = store._bus.stats
+        self._sbus_stats = store.daemon.streams.stats
         self._rows_fn = store.columnar_rows
         self._l1bus_stats = l1.streams.stats
         self._install_hooks(daemons, net)
@@ -520,9 +520,8 @@ class ColumnarSpine:
                 sbus.published += 1
                 sbus.bytes_published += nbytes
                 sbus.delivered += 1
-                journal = self._journal
-                if journal is not None and trace_id:
-                    journal.admit_at(trace_id, t1)
+                if trace_id:
+                    self._journal.admit_at(trace_id, t1)
                 rows = self._rows_fn(shape, values)
                 slab = self._slab
                 slab.extend(rows)
@@ -718,7 +717,7 @@ class ColumnarSpine:
         for tid, nbytes, shape, values, _ in rows:
             bus_stats.published += 1
             bus_stats.bytes_published += nbytes
-            if journal is not None and tid:
+            if tid:
                 journal.admit_at(tid, t)
             built = rows_fn(shape, values)
             slab.extend(built)

@@ -6,7 +6,8 @@ once, keyed on its deterministic ``job:rank:seq`` trace id, and the
 admission is logged *before* the insert happens — so the WAL is a
 complete, ordered record of what the store committed to landing, and a
 duplicate arriving at any later time (even mid-flush of a deferred
-batch) is recognized and skipped.
+batch) is recognized and skipped.  A write the store rejects (no live
+replica) withdraws its admission, so a resend of it lands.
 
 The :class:`StoreWal` is the per-``dsosd`` durability log: each applied
 object is appended (sequence number, schema, payload, originating trace
@@ -166,6 +167,19 @@ class IngestJournal:
         self._seen.add(trace_id)
         self.wal.append(Admission(t, trace_id))
         return True
+
+    def withdraw(self, trace_id: str) -> None:
+        """Undo ``trace_id``'s admission: the store rejected its write,
+        so the WAL must not record it as committed and a resend of it
+        is not a duplicate."""
+        if trace_id not in self._seen:
+            return
+        self._seen.remove(trace_id)
+        wal = self.wal
+        for i in range(len(wal) - 1, -1, -1):
+            if wal[i].trace_id == trace_id:
+                del wal[i]
+                return
 
     def to_bytes(self) -> bytes:
         """The WAL as one serialized, checksummed log."""

@@ -5,13 +5,17 @@ connector's stream tag on the final aggregator, flattens each JSON
 message (one database object per ``seg`` entry, like the CSV store) and
 inserts it into the ``darshan_data`` schema.
 
+Each delivered message lands before the next one is delivered, through
+one path (:meth:`DsosStreamStore._land`): a quorum write per row on a
+sharded store, an ``insert`` per row on a flat one.  A slow-store
+episode defers admitted messages and lands them the same way when it
+ends.
+
 Fast lane: the attribute → source mapping is precompiled into a row
-plan (no per-attribute name tests on the hot path), a columnar message
-builds its row from a compiled per-shape spec with no message dict, and
-inside a bus batch window (a forwarder handing over its transfer batch)
-rows are buffered and landed with one ``insert_many`` per batch instead
-of one ``insert`` per row.  All of these produce byte-identical objects
-in the identical round-robin placement.
+plan (no per-attribute name tests on the hot path), and a columnar
+message builds its row from a compiled per-shape spec with no message
+dict.  Both produce byte-identical objects in the identical
+round-robin placement.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ class DsosStreamStore:
         schema=DARSHAN_DATA_SCHEMA,
         *,
         fast: bool = True,
-        journal: bool = True,
     ):
         self.daemon = daemon
         self.tag = tag
@@ -72,20 +75,21 @@ class DsosStreamStore:
         self.parse_errors = 0
         self.objects_stored = 0
         self._fast = fast
-        #: Replicated cluster: route per message through quorum ingest
-        #: (bypassing the batch buffer — acks are per write).
+        #: Replicated cluster: each row is a quorum write, acked per write.
         self._sharded = getattr(client.cluster, "sharded", False)
-        #: Messages stored below write quorum / rejected outright.
+        #: Messages stored below write quorum / rejected outright (a
+        #: rejected message may land on a later resend).
         self.quorum_degraded = 0
         self.store_down_drops = 0
         #: Idempotent ingest: upstream recovery (spill replay, retry on
         #: lost acks, failover) may resend a message; the journal admits
         #: each trace id once.  With no duplicates it only costs a set
-        #: lookup, so it is on by default.
-        self.journal = IngestJournal(daemon.env) if journal else None
-        #: Slow-store episode state (repro.faults): while slow, inserts
-        #: defer into _slow_pending with an open ingest hop; the episode
-        #: end flushes them, stamping the episode's latency on each.
+        #: lookup, so it is always on.
+        self.journal = IngestJournal(daemon.env)
+        #: Slow-store episode state (repro.faults): while slow, admitted
+        #: messages defer into _slow_pending with an open ingest hop;
+        #: the episode end lands them, stamping the episode's latency
+        #: on each.
         self._slow = False
         self._slow_pending: list[tuple] = []
         #: (attr_name, comes-from-seg, source key, exact type, type name)
@@ -98,13 +102,10 @@ class DsosStreamStore:
         #: through the parsed dict instead).  The shape reference keeps
         #: the id stable for the cache's lifetime.
         self._columnar_plans: dict[int, tuple] = {}
-        self._bus = daemon.streams
-        self._pending_rows: list[dict] = []
         #: ``stored`` subscribers of the observer hub, called the
         #: instant a message's rows land (repro.diagnosis rides this).
         self._on_stored = daemon.env.observers.stored
         daemon.streams.subscribe(tag, self.on_message)
-        daemon.streams.add_batch_sink(self._flush_batch)
 
     #: Express-spine back-pointer (set while an armed spine owns this
     #: store's ingest; any guard-relevant mutation de-arms it first).
@@ -144,11 +145,12 @@ class DsosStreamStore:
                     self.parse_errors += 1
                     self._ingest_hop(message, DROP_PARSE_ERROR)
                     return
-        if self.journal is not None and not self.journal.admit(message.trace_id):
+        if not self.journal.admit(message.trace_id):
             self._ingest_hop(message, DUP_IGNORED)
             return
+        rows = self._rows(message, data)
         if self._slow:
-            self._slow_pending.append((message, self._rows(message, data)))
+            self._slow_pending.append((message, rows))
             if message.trace_id:
                 collector = collector_for(self.daemon.env)
                 if collector is not None:
@@ -156,35 +158,7 @@ class DsosStreamStore:
                         message.trace_id, STAGE_INGEST, self.daemon.node.name
                     )
             return
-        if self._sharded:
-            outcome, degraded, n_rows = self._store_replicated(
-                message, self._rows(message, data)
-            )
-            self._ingest_hop(message, outcome, n_rows, degraded=degraded)
-            return
-        if self._fast:
-            rows = self._rows(message, data)
-            if self._bus.in_batch:
-                # Buffered for one insert_many when the window closes.
-                # The hop and the counter stamp now — no simulated time
-                # passes before the flush, so records are identical.
-                self._pending_rows.extend(rows)
-            else:
-                insert = self.client.cluster.insert
-                name = self.schema.name
-                for obj in rows:
-                    insert(name, obj, validate=False)
-            self.objects_stored += len(rows)
-            n_rows = len(rows)
-        else:
-            n_rows = 0
-            for obj in self._flatten(data):
-                # _flatten+_coerce already guarantee schema conformance;
-                # skip per-object validation on this hot ingest path.
-                self.client.cluster.insert(self.schema.name, obj, validate=False)
-                self.objects_stored += 1
-                n_rows += 1
-        self._ingest_hop(message, STORED, n_rows)
+        self._land(message, rows)
 
     def _rows(self, message, data) -> list[dict]:
         """One admitted message's database rows.
@@ -199,41 +173,48 @@ class DsosStreamStore:
             return self._flatten_fast(data)
         return list(self._flatten(data))
 
-    def _flush_batch(self) -> None:
-        rows = self._pending_rows
-        if rows:
-            self._pending_rows = []
-            self.client.cluster.insert_many(self.schema.name, rows, validate=False)
+    def _land(self, message, rows: list, *, opened: bool = False) -> None:
+        """Store one admitted message's rows and record its ingest hop
+        (closing the hop a slow episode ``opened``).
 
-    # -- replicated ingest (sharded clusters) -----------------------------
-
-    def _store_replicated(self, message, rows) -> tuple:
-        """Quorum write of one message's rows; ``(outcome, degraded, n)``.
-
-        All rows of one message share a job id, hence a shard and a
-        replica set, so acks are uniform across the message: it is
-        *stored* (W acks), stored-degraded (fewer, repair owes copies)
-        or rejected (``drop_store_down`` — no live replica held any
-        copy).
+        A flat store inserts each row round-robin.  A sharded store
+        makes one quorum write per row.  All rows of one message share
+        a job id, hence a shard and a replica set, so acks are uniform
+        across the message: it is *stored* (W acks), stored-degraded
+        (fewer, repair owes copies) or rejected (``drop_store_down`` —
+        no live replica held any copy).  A rejected message leaves the
+        journal, so a resend of it is landed, not skipped as a
+        duplicate.
         """
-        insert = self.client.cluster.insert_replicated
+        cluster = self.client.cluster
         name = self.schema.name
-        trace_id = message.trace_id
-        accepted = True
         degraded = False
-        for obj in rows:
-            ack = insert(name, obj, trace_id=trace_id, validate=False)
-            if not ack.accepted:
-                accepted = False
-            elif not ack.quorum_met:
-                degraded = True
-        if not accepted:
-            self.store_down_drops += 1
-            return DROP_STORE_DOWN, degraded, 0
-        if degraded:
-            self.quorum_degraded += 1
+        if self._sharded:
+            trace_id = message.trace_id
+            accepted = True
+            for obj in rows:
+                ack = cluster.insert_replicated(
+                    name, obj, trace_id=trace_id, validate=False
+                )
+                if not ack.accepted:
+                    accepted = False
+                elif not ack.quorum_met:
+                    degraded = True
+            if not accepted:
+                self.store_down_drops += 1
+                self.journal.withdraw(trace_id)
+                self._ingest_hop(message, DROP_STORE_DOWN, opened=opened)
+                return
+            if degraded:
+                self.quorum_degraded += 1
+        else:
+            insert = cluster.insert
+            for obj in rows:
+                insert(name, obj, validate=False)
         self.objects_stored += len(rows)
-        return STORED, degraded, len(rows)
+        self._ingest_hop(
+            message, STORED, len(rows), degraded=degraded, opened=opened
+        )
 
     # -- slow-store episodes (repro.faults) ------------------------------
 
@@ -267,23 +248,8 @@ class DsosStreamStore:
             return
         self._slow = False
         pending, self._slow_pending = self._slow_pending, []
-        if not pending:
-            return
-        if self._sharded:
-            for message, rows in pending:
-                outcome, degraded, n_rows = self._store_replicated(message, rows)
-                self._ingest_hop(
-                    message, outcome, n_rows, degraded=degraded, opened=True
-                )
-            return
-        all_rows = [row for _, rows in pending for row in rows]
-        if all_rows:
-            self.client.cluster.insert_many(
-                self.schema.name, all_rows, validate=False
-            )
         for message, rows in pending:
-            self.objects_stored += len(rows)
-            self._ingest_hop(message, STORED, len(rows), opened=True)
+            self._land(message, rows, opened=True)
 
     def _ingest_hop(
         self, message, outcome: str, n_rows: int = 0, *,

@@ -82,13 +82,14 @@ class WorldConfig:
     #: Outbox depth of every stream-forward rule (small values force
     #: overflow drops; the default matches production ldmsd).
     forward_queue_depth: int = 65536
-    #: Host-side fast lane through the monitoring pipeline (batched
-    #: forward delivery, batched DSOS ingest and, when the world is
-    #: provably inert — no faults/retry/standby/diagnosis/probe/CSV/
-    #: recorder/samplers — an express spine that virtualizes
-    #: publish→forward→ingest so engine events scale with application
-    #: I/O instead of monitoring messages).  Simulated results are
-    #: identical either way; False keeps the per-message reference path.
+    #: Host-side fast lane through the monitoring pipeline
+    #: (callback-driven forward delivery, shape-compiled DSOS rows
+    #: and, when the world is provably inert — no faults/retry/
+    #: standby/diagnosis/probe/CSV/recorder/samplers — an express
+    #: spine that virtualizes publish→forward→ingest so engine events
+    #: scale with application I/O instead of monitoring messages).
+    #: Simulated results are identical either way; False keeps the
+    #: process-driven reference path.
     fast_lane: bool = True
     #: Compatibility keyword only: the columnar path *is* the fast
     #: lane.  Must equal ``fast_lane`` when given; stored nowhere.

@@ -109,7 +109,10 @@ class _Forwarder:
     batching a real aggregation hop performs, and the reason stream
     transport keeps up with event bursts.
 
-    Two drive modes share the outbox and all accounting:
+    Two drive modes share the outbox, all accounting and delivery: a
+    batch whose transfer completes goes to ``peer.receive_batch``, one
+    ``receive`` per message, so the receiving store lands each message
+    before the next is delivered.
 
     * ``batch_deliver=False`` — the reference path: a persistent
       process blocks on the outbox and walks each batch through
@@ -144,9 +147,7 @@ class _Forwarder:
         self.tag = tag
         self.peer = peer
         self.batch_size = batch_size
-        #: Hand whole batches to ``peer.receive_batch`` (one ingest
-        #: append-path per batch) instead of per-message ``receive``.
-        #: Host-side only — the network transfer is identical.
+        #: Drive mode: event callbacks (True) or a process (False).
         self.batch_deliver = batch_deliver
         #: Optional self-healing (repro.faults).  With ``retry=None``
         #: and no flaky transport, delivery is the legacy best-effort
@@ -209,7 +210,7 @@ class _Forwarder:
 
     # -- fast lane: event-callback drive --------------------------------------
 
-    def _drain_batch(self) -> list:
+    def _take_batch(self) -> list:
         batch = []
         outbox = self.outbox
         while len(batch) < self.batch_size:
@@ -226,7 +227,7 @@ class _Forwarder:
         src = self.owner.node.name
         while True:
             dst = self._active_peer.node.name
-            batch = self._drain_batch()
+            batch = self._take_batch()
             if not batch:
                 self._draining = False
                 return
@@ -339,11 +340,7 @@ class _Forwarder:
                         collector.close_hop(
                             message.trace_id, _trace.STAGE_FORWARD, node, _trace.FORWARDED
                         )
-        if self.batch_deliver:
-            peer.receive_batch(batch)
-        else:
-            for message in batch:
-                peer.receive(message)
+        peer.receive_batch(batch)
 
     def _dead_letter(self, batch: list) -> None:
         """Give up on a batch: attribute every message, drop it."""
@@ -491,9 +488,11 @@ class Ldmsd:
         self.name = name
         self.publish_overhead_s = publish_overhead_s
         self.loopback_bandwidth_bps = loopback_bandwidth_bps
-        #: Host-side batching of forward delivery (simulated results are
-        #: identical; False keeps the per-message reference path).  A
-        #: connector publishing here takes this as its lane too.
+        #: Forwarders drive their outboxes with event callbacks instead
+        #: of a process (see :class:`_Forwarder` for the one way their
+        #: results can differ).  False keeps the process-driven
+        #: reference path.  A connector publishing here takes this as
+        #: its lane too.
         self.fast_lane = fast_lane
         self.streams = StreamsBus()
         self.streams.telemetry = _BusTelemetry(self)
@@ -733,37 +732,12 @@ class Ldmsd:
         self.streams.publish(message)
 
     def receive_batch(self, messages: list) -> None:
-        """Deliver a forwarder batch, equivalent to per-message
-        :meth:`receive` calls.
-
-        Delivery stays message-by-message (a subscriber can fail this
-        daemon mid-batch, and the messages behind the trip wire must
-        drop exactly as they would sequentially); the win is the batch
-        window the bus opens around it — batch sinks (the DSOS store)
-        buffer their per-message work and flush it once per batch.
-        """
-        if self._express_spine is not None:
-            self._express_spine.on_mutation()
-        if len(messages) == 1:
-            # A batch window around one message buys nothing — skip the
-            # begin/flush scaffolding (same failed-daemon check, same
-            # per-row ingest the window's flush would perform).
-            self.receive(messages[0])
-            return
-        bus = self.streams
-        remainder = None
-        bus.begin_batch()
-        try:
-            for i, message in enumerate(messages):
-                if self._failed:
-                    remainder = messages[i:]
-                    break
-                bus.publish(message)
-        finally:
-            bus.end_batch()
-        if remainder is not None:
-            for message in remainder:
-                self.receive(message)
+        """Deliver a forwarder batch: one :meth:`receive` per message,
+        in order.  A subscriber that fails this daemon mid-batch makes
+        every message behind it drop at receive, as sequential
+        delivery does."""
+        for message in messages:
+            self.receive(message)
 
     # -- failure injection ------------------------------------------------
 

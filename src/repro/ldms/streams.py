@@ -4,7 +4,10 @@ One bus lives inside each ldmsd.  Publishing is synchronous, local and
 best-effort: each message is handed to the callbacks subscribed to its
 tag *at that moment*; if none exist the message is dropped and counted.
 There is no replay — exactly the "no caching, subscribe before publish"
-behaviour the paper calls out in Section IV-B.
+behaviour the paper calls out in Section IV-B.  Delivery is per
+message on both lanes: a forwarded batch reaches the bus as that many
+separate publishes, and each subscriber does its work (the DSOS store
+lands its rows) before the next message is delivered.
 """
 
 from __future__ import annotations
@@ -67,56 +70,20 @@ class StreamsBus:
         #: Optional telemetry hook with ``on_publish(message, delivered)``
         #: (set by the owning daemon; None on standalone buses).
         self.telemetry = None
-        self._batch_depth = 0
-        self._batch_sinks: list = []
-
-    # -- batch windows -------------------------------------------------------
-    #
-    # A batch window brackets a burst of publishes delivered in one host
-    # step (a forwarder handing over its transfer batch).  Subscribers
-    # that can amortize per-message work (the DSOS store's ingest) check
-    # ``in_batch`` to buffer, and register a flush hook that runs when
-    # the window closes.  Purely host-side: no simulated time passes
-    # inside a window, and per-message delivery semantics are unchanged.
-
-    @property
-    def in_batch(self) -> bool:
-        """True while a batch window is open (see :meth:`begin_batch`)."""
-        return self._batch_depth > 0
-
-    def add_batch_sink(self, flush) -> None:
-        """Register ``flush()`` to run whenever a batch window closes."""
-        if not callable(flush):
-            raise TypeError(f"batch sink {flush!r} is not callable")
-        self._batch_sinks.append(flush)
-
-    def begin_batch(self) -> None:
-        self._batch_depth += 1
-
-    def end_batch(self) -> None:
-        """Close a window; flush hooks run even if delivery aborted."""
-        if self._batch_depth <= 0:
-            raise RuntimeError("end_batch without begin_batch")
-        self._batch_depth -= 1
-        if self._batch_depth == 0:
-            for flush in self._batch_sinks:
-                flush()
 
     def publish_batch(self, messages) -> int:
-        """Publish several messages inside one batch window.
+        """Publish several messages in order: sequential :meth:`publish`
+        calls; returns the number of messages published.
 
-        Exactly equivalent to sequential :meth:`publish` calls; returns
-        the number of messages published.
+        Nothing in the pipeline calls it (forwarded batches arrive
+        through :meth:`repro.ldms.Ldmsd.receive_batch`); it stays
+        defined because ``perfbench/tracer.py`` times it by name.
         """
-        self.begin_batch()
-        try:
-            n = 0
-            for message in messages:
-                self.publish(message)
-                n += 1
-            return n
-        finally:
-            self.end_batch()
+        n = 0
+        for message in messages:
+            self.publish(message)
+            n += 1
+        return n
 
     def subscribe(self, tag: str, callback) -> None:
         """Register ``callback(message)`` for messages matching ``tag``."""

@@ -12,9 +12,15 @@ from repro.dsos import DARSHAN_DATA_SCHEMA, DsosClient, DsosCluster, DsosStreamS
 from repro.experiments import World, WorldConfig, run_job
 from repro.experiments.world import STREAM_TAG
 from repro.faults import FaultPlan, SlowStore
-from repro.ldms import Ldmsd
+from repro.ldms import Ldmsd, StreamMessage
 from repro.sim import Environment, RngRegistry
-from repro.telemetry.trace import STAGE_INGEST, STORED, make_trace_id
+from repro.telemetry import install
+from repro.telemetry.trace import (
+    DROP_STORE_DOWN,
+    STAGE_INGEST,
+    STORED,
+    make_trace_id,
+)
 
 TAG = "darshanConnector"
 
@@ -192,3 +198,42 @@ def test_stored_instant_is_the_ingest_landing(fast_lane, replicas):
         assert [hop.t_out for hop in hops] == [t]
         deferred += hops[0].t_in < hops[0].t_out
     assert deferred > 0  # the episode's flush is covered
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["direct", "slow-episode"])
+def test_a_write_the_store_rejected_lands_when_resent(env, daemon, deferred):
+    """A message rejected because every replica of its shard is down
+    (``drop_store_down``) leaves no admission in the ingest journal, so
+    its resend after recovery lands instead of being skipped as a
+    duplicate — delivered directly or deferred by a slow episode."""
+    cluster = DsosCluster("shirley", 2, shards=1, replication=2)
+    client = DsosClient(cluster)
+    store = DsosStreamStore(daemon, TAG, client)
+    collector = install(env)
+    trace_id = make_trace_id(259903, 3, 0)
+    collector.begin(trace_id, 259903, 3, daemon.node.name)
+    message = StreamMessage(TAG, json.dumps(_message()), trace_id=trace_id)
+
+    for d in cluster.daemons:
+        cluster.crash_daemon(d)
+    if deferred:
+        store.begin_slow_episode()
+    daemon.receive(message)
+    if deferred:
+        store.end_slow_episode()
+    assert store.store_down_drops == 1
+    assert trace_id not in store.journal and store.journal.wal == []
+    assert collector.traces[trace_id].drop_site == (
+        STAGE_INGEST, daemon.node.name, DROP_STORE_DOWN
+    )
+
+    for d in cluster.daemons:
+        cluster.recover_daemon(d)
+    daemon.receive(message)  # a resend, as an ``unacked`` retry makes
+    assert store.journal.duplicates_skipped == 0
+    assert store.objects_stored == 1
+    assert client.count("darshan_data") == 1
+    assert [a.trace_id for a in store.journal.wal] == [trace_id]
+    assert collector.traces[trace_id].status == "stored"
+    assert collector.reconcile()[(259903, 3)]["stored"] == 1
+    assert collector.drop_sites() == {}

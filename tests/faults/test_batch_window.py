@@ -1,13 +1,15 @@
-"""Batch-window regression tests (the fast lane under fire).
+"""Forwarder-batch regression tests (the fast lane under fire).
 
-The fast lane coalesces forwarder batches and opens a bus batch window
-around their delivery.  Two things must survive a crash landing inside
-that window:
+A forwarder coalesces queued messages into one transfer and hands the
+batch to ``Ldmsd.receive_batch``, one ``receive`` per message.  Three
+things must hold:
 
-* every message behind the trip wire is *attributed* (receive-stage
-  ``drop_daemon_failed``), never silently vanished;
-* the window itself always closes and flushes — no rows parked in the
-  store's batch buffer, no dangling ``in_batch`` state at end of run.
+* a receiver that crashes in the middle of a batch *attributes* every
+  message behind the trip wire (receive-stage ``drop_daemon_failed``),
+  never silently vanishes one;
+* the run leaves nothing deferred in the store;
+* multi-message batches into a flat multi-daemon store place every
+  row on the same daemon as the reference lane does.
 """
 
 from repro.apps import MpiIoTest
@@ -56,8 +58,7 @@ def test_mid_window_crash_attributes_every_message():
         src.publish_now(TAG, {"k": 1}, trace_id=tid)
     env.run()
 
-    assert delivered == ids[:2]  # the window really was cut short
-    assert not dst.streams.in_batch  # and it closed anyway
+    assert delivered == ids[:2]  # the batch really was cut short
     for tid in ids[:2]:
         assert collector.traces[tid].drop_site is None
     for tid in ids[2:]:
@@ -70,24 +71,44 @@ def test_mid_window_crash_attributes_every_message():
 # ------------------------------------------------------------ campaign
 
 
+def _track_batches(daemon) -> dict:
+    """Wrap ``daemon.receive_batch`` to expose the batch being
+    delivered: its length (0 between batches), and every batch size
+    seen."""
+    state = {"size": 0, "sizes": []}
+    receive_batch = daemon.receive_batch
+
+    def tracked(messages):
+        state["size"] = len(messages)
+        state["sizes"].append(len(messages))
+        try:
+            receive_batch(messages)
+        finally:
+            state["size"] = 0
+
+    daemon.receive_batch = tracked
+    return state
+
+
 def test_l1_crash_inside_a_batch_window_stays_exact():
-    """Satellite coverage: L1 dies *inside* a fast-lane batch window
-    mid-campaign.  All losses are attributed and the ledger closes."""
+    """L1 dies in the middle of a multi-message fast-lane forwarder
+    batch mid-campaign.  All losses are attributed and the ledger
+    closes."""
     world = World(WorldConfig(
         seed=11, quiet=True, n_compute_nodes=4, telemetry=True,
         fast_lane=True,
     ))
     l1 = world.fabric.l1
-    state = {"in_window": 0, "tripped": False}
+    batch = _track_batches(l1)
+    # Messages of the cut batch still to come when L1 failed.
+    behind = []
 
     def trip_wire(message):
-        if state["tripped"]:
+        if behind or batch["size"] < 2:
             return
-        if l1.streams.in_batch:
-            state["in_window"] += 1
-            if state["in_window"] == 2:  # strictly mid-window
-                state["tripped"] = True
-                l1.fail()
+        # The batch's first message: the rest of it is still to come.
+        behind.append(batch["size"] - 1)
+        l1.fail()
 
     l1.streams.subscribe(STREAM_TAG, trip_wire)
 
@@ -97,8 +118,8 @@ def test_l1_crash_inside_a_batch_window_stays_exact():
     )
     result = run_job(world, app, "nfs", connector_config=ConnectorConfig())
 
-    # The scenario is real: a batch window existed and was cut short.
-    assert state["tripped"]
+    # The scenario is real: a batch was cut short with messages left.
+    assert behind and behind[0] > 0
 
     health = result.health
     assert health.verify()  # nothing silently vanished
@@ -109,16 +130,13 @@ def test_l1_crash_inside_a_batch_window_stays_exact():
     }
     assert ("receive", DROP_DAEMON_FAILED) in drop_outcomes
 
-    # End-of-run flush: nothing parked in any batch buffer.
-    assert world.store._pending_rows == []
+    # End of run: nothing deferred in the store.
     assert world.store.slow_pending == 0
-    assert not world.fabric.l2.streams.in_batch
-    assert not world.fabric.l1.streams.in_batch
 
 
 def test_healthy_campaign_leaves_no_batch_residue():
-    """Regression pin for the end-of-run flush audit: after a clean
-    fast-lane campaign every batched row has been flushed to DSOS."""
+    """Regression pin for the end-of-run audit: after a clean fast-lane
+    campaign every published message is a stored DSOS row."""
     world = World(WorldConfig(
         seed=11, quiet=True, n_compute_nodes=4, telemetry=True,
         fast_lane=True,
@@ -129,9 +147,7 @@ def test_healthy_campaign_leaves_no_batch_residue():
     )
     result = run_job(world, app, "nfs", connector_config=ConnectorConfig())
 
-    assert world.store._pending_rows == []
     assert world.store.slow_pending == 0
-    assert not world.fabric.l2.streams.in_batch
     health = result.health
     assert health.verify()
     assert health.dropped == 0
@@ -139,3 +155,34 @@ def test_healthy_campaign_leaves_no_batch_residue():
     # Every published event is a queryable DSOS row.
     rows = [dict(obj) for obj in world.query_job(result.job_id)]
     assert len(rows) == health.published
+
+
+def test_multi_message_batches_place_rows_as_the_reference_lane():
+    """A flat 4-daemon store fed multi-message forwarder batches holds
+    the same rows on the same daemons, in the same order, on the fast
+    lane (spine stood down) as on the process-driven reference lane."""
+    placements, sizes = {}, {}
+    for fast_lane in (True, False):
+        world = World(WorldConfig(
+            seed=11, quiet=True, n_compute_nodes=4, fast_lane=fast_lane,
+        ))
+        if world.spine is not None:
+            world.spine.dearm()
+        batches = _track_batches(world.fabric.l2)
+        app = MpiIoTest(
+            n_nodes=2, ranks_per_node=2, iterations=8, block_size=2**20,
+            collective=False, sync_per_iteration=False,
+        )
+        run_job(world, app, "nfs", connector_config=ConnectorConfig())
+        daemons = world.dsos.cluster.daemons
+        assert len(daemons) == 4 and not world.dsos.cluster.sharded
+        placements[fast_lane] = [
+            d._shard("darshan_data").rows(range(d.count("darshan_data")))
+            for d in daemons
+        ]
+        sizes[fast_lane] = batches["sizes"]
+
+    assert max(sizes[True]) > 1  # the batches really held several
+    assert sizes[True] == sizes[False]
+    assert placements[True] == placements[False]
+    assert all(placements[True])  # every daemon holds rows

@@ -2,8 +2,8 @@
 
 Every host-side optimization in the pipeline (template-compiled
 column-wise serialization with lazy payloads, coalesced publish,
-callback forwarding with fused transfers, batched DSOS ingest and the
-express spine that virtualizes publish→forward→ingest) claims to be
+callback forwarding with fused transfers, shape-compiled DSOS rows and
+the express spine that virtualizes publish→forward→ingest) claims to be
 invisible to the simulation.  These tests hold that line:
 
 * property tests over random events — the column-wise serializer's
