@@ -3,9 +3,10 @@
 Two pieces:
 
 * :class:`ColumnarMessage` — a lazy, StreamMessage-duck-typed view of
-  one formatted row, for the per-message path: the payload and the
-  parsed dict materialize only if something downstream actually reads
-  them (chaos paths, CSV stores).
+  one formatted row, for the per-message path (spill sends and replays
+  included): the DSOS store builds its row from the shape and values,
+  and the payload renders only if something downstream actually reads
+  it (a CSV store).
 * :class:`ColumnarSpine` — the express spine: when an armed guard
   proves nothing can observe the difference, the publish → forward →
   ingest pipeline for connector traffic is *virtualized*.  Each hop's
@@ -98,15 +99,15 @@ class ColumnarMessage:
     """A StreamMessage-shaped view of one columnar row, lazily rendered.
 
     Duck-types the frozen :class:`~repro.ldms.streams.StreamMessage`
-    for every consumer in the tree (buses, forwarders, stores, spill
-    buffers): same attributes, same ``size_bytes``.  The payload string
-    and the parsed dict are built on first access and cached — on paths
-    that never read them (counters-only delivery) they never exist.
+    for every consumer in the tree (buses, forwarders, stores): same
+    attributes, same ``size_bytes``.  The payload string is built on
+    first access and cached — on paths that never read it
+    (counters-only delivery, the DSOS store) it never exists.
     """
 
     __slots__ = (
         "tag", "fmt", "src_node", "publish_time", "trace_id",
-        "size_bytes", "_shape", "_values", "_payload", "_parsed",
+        "size_bytes", "_shape", "_values", "_payload",
     )
 
     def __init__(
@@ -122,7 +123,6 @@ class ColumnarMessage:
         self._shape = shape
         self._values = values
         self._payload = None
-        self._parsed = None
 
     @property
     def shape(self):
@@ -140,13 +140,6 @@ class ColumnarMessage:
         if payload is None:
             payload = self._payload = self._shape.render(self._values)[0]
         return payload
-
-    @property
-    def parsed(self) -> dict:
-        parsed = self._parsed
-        if parsed is None:
-            parsed = self._parsed = self._shape.parsed(self._values)
-        return parsed
 
 
 @dataclass
@@ -300,7 +293,7 @@ class ColumnarSpine:
             return False
         if world._samplers_running or world._pipeline_samplers_running:
             return False
-        if not store._fast or store._slow:
+        if not store.daemon.fast_lane or store._slow:
             return False
         # Replicated DSOS: quorum acks and per-write sequence numbers
         # are not virtualizable — the express spine only serves the

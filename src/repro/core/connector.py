@@ -18,7 +18,6 @@ from repro.core.batch import ColumnarMessage, spine_for
 from repro.core.json_format import (
     ColumnarFormatted,
     FormatCostModel,
-    FormattedMessage,
     MessageBuilder,
 )
 from repro.core.sampling import EventSampler
@@ -139,9 +138,10 @@ class DarshanLdmsConnector:
         self._trace_seq: dict[int, int] = {}
         #: rank -> "job:rank:" id prefix (validated once per rank).
         self._trace_prefix: dict[int, str] = {}
-        #: node name -> FIFO of (trace_id, payload, parsed) awaiting a
+        #: node name -> FIFO of (trace_id, body, nbytes) awaiting a
         #: reconnect replay (the in-memory stand-in for the events the
-        #: real connector leaves in the post-run Darshan log).
+        #: real connector leaves in the post-run Darshan log); ``body``
+        #: is a fast-lane row's ColumnarFormatted or a payload string.
         self._spill: dict[str, deque] = {}
         self._reconnecting: set[str] = set()
         self._reconnect_policy = RetryPolicy(
@@ -176,34 +176,30 @@ class DarshanLdmsConnector:
             formatted = self.builder.format_columnar(
                 event, mode=self._format_mode
             )
-            if type(formatted) is ColumnarFormatted:
-                if not self._spill_enabled:
-                    pending = self._publish_columnar(event, formatted, daemon)
-                    if pending is not None:
-                        yield from pending
-                    return
-                # Spill runs buffer rendered payloads (the in-memory
-                # stand-in for the Darshan log); materialize this row
-                # and take the reference spill path — identical strings,
-                # identical accounting.
-                formatted = FormattedMessage(
-                    payload=formatted.shape.render(formatted.values)[0],
-                    numeric_conversions=formatted.numeric_conversions,
-                    format_cost_s=formatted.format_cost_s,
-                    parsed=formatted.shape.parsed(formatted.values),
-                )
-            # else: shape miss or ablation mode — ``formatted`` is a
-            # regular FormattedMessage; continue through the publish
-            # paths below.
+            if type(formatted) is ColumnarFormatted and not self._spill_enabled:
+                pending = self._publish_columnar(event, formatted, daemon)
+                if pending is not None:
+                    yield from pending
+                return
+            # else: a spill run, a shape miss or ablation mode —
+            # continue through the publish paths below.
         else:
             formatted = self.builder.format(event, mode=self._format_mode)
         stats.numeric_conversions += formatted.numeric_conversions
         stats.format_seconds += formatted.format_cost_s
-        payload = formatted.payload or "{}"
+        if type(formatted) is ColumnarFormatted:
+            # A fast-lane spill run keeps the row: the spill buffer and
+            # the send carry (shape, values), never a payload string.
+            body, nbytes = formatted, formatted.payload_chars
+        else:
+            body = formatted.payload or "{}"
+            nbytes = len(body)
         trace_id = self._next_trace_id(event.context.rank)
 
-        if self.config.spill:
-            yield from self._publish_or_spill(event, payload, formatted, daemon, trace_id)
+        if self._spill_enabled:
+            yield from self._publish_or_spill(
+                event, body, nbytes, formatted.format_cost_s, daemon, trace_id
+            )
         elif daemon.fast_lane:
             # Coalesced publish: one engine trip instead of two.  The
             # slow lane advances the clock twice — to t_pub after the
@@ -212,7 +208,7 @@ class DarshanLdmsConnector:
             # float operand order and sleeps straight to t_done.
             env = self.env
             t_pub = env.now + formatted.format_cost_s
-            t_done = t_pub + daemon.publish_cost(len(payload))
+            t_done = t_pub + daemon.publish_cost(nbytes)
             yield env.timeout_at(t_done)
             collector = collector_for(env)
             if collector is not None:
@@ -224,9 +220,8 @@ class DarshanLdmsConnector:
                     t_begin=t_pub,
                 )
             daemon.publish_prepaid(
-                self.config.stream_tag, payload, fmt="json",
+                self.config.stream_tag, body, fmt="json",
                 trace_id=trace_id, publish_time=t_pub,
-                parsed=formatted.parsed,
             )
             stats.publish_seconds += t_done - t_pub
         else:
@@ -242,14 +237,14 @@ class DarshanLdmsConnector:
                 )
             t0 = self.env.now
             yield from daemon.publish(
-                self.config.stream_tag, payload, fmt="json",
+                self.config.stream_tag, body, fmt="json",
                 trace_id=trace_id,
             )
             stats.publish_seconds += self.env.now - t0
         stats.messages_published += 1
         # Count what actually went on the wire: format_mode="none"
         # publishes the two-byte "{}" placeholder, not the empty string.
-        stats.bytes_published += len(payload)
+        stats.bytes_published += nbytes
 
     def _publish_columnar(self, event: IOEvent, formatted: ColumnarFormatted,
                           daemon):
@@ -351,7 +346,8 @@ class DarshanLdmsConnector:
 
     # -- spill/replay: the Darshan-log fallback -----------------------------
 
-    def _publish_or_spill(self, event: IOEvent, payload, formatted, daemon, trace_id):
+    def _publish_or_spill(self, event: IOEvent, body, nbytes: int,
+                          format_cost_s: float, daemon, trace_id: str):
         """Publish with the down-daemon fallback (``spill=True`` runs).
 
         Format cost is charged first (the event was formatted either
@@ -362,31 +358,47 @@ class DarshanLdmsConnector:
         env = self.env
         node_name = event.context.node_name
         rank = event.context.rank
-        yield env.timeout(formatted.format_cost_s)
+        yield env.timeout(format_cost_s)
         collector = collector_for(env)
         if collector is not None:
             collector.begin(trace_id, self.runtime.job_id, rank, node_name)
         if not daemon.failed:
             t_pub = env.now
-            t_done = t_pub + daemon.publish_cost(len(payload))
+            t_done = t_pub + daemon.publish_cost(nbytes)
             yield env.timeout_at(t_done)
             if not daemon.failed:
-                daemon.publish_prepaid(
-                    self.config.stream_tag, payload, fmt="json",
-                    trace_id=trace_id, publish_time=t_pub,
-                    parsed=formatted.parsed,
-                )
+                self._send(daemon, trace_id, body, nbytes, t_pub)
                 self.stats.publish_seconds += t_done - t_pub
                 return
             # Crashed inside the send window: fall through to the spill
             # (the send never completed; its cost was paid in vain).
-        self._spill_event(node_name, daemon, trace_id, payload, formatted.parsed)
+        self._spill_event(node_name, daemon, trace_id, body, nbytes)
 
-    def _spill_event(self, node_name: str, daemon, trace_id: str, payload, parsed) -> None:
+    def _send(self, daemon, trace_id: str, body, nbytes: int,
+              publish_time: float) -> None:
+        """Hand one spill-run event to ``daemon``: a payload string as
+        is, a fast-lane row as a lazy ColumnarMessage."""
+        if type(body) is str:
+            daemon.publish_prepaid(
+                self._stream_tag, body, fmt="json",
+                trace_id=trace_id, publish_time=publish_time,
+            )
+        else:
+            daemon.publish_prepaid_message(
+                ColumnarMessage(
+                    self._stream_tag, body.shape, body.values, nbytes,
+                    src_node=daemon.node.name,
+                    publish_time=publish_time,
+                    trace_id=trace_id,
+                )
+            )
+
+    def _spill_event(self, node_name: str, daemon, trace_id: str, body,
+                     nbytes: int) -> None:
         buffer = self._spill.get(node_name)
         if buffer is None:
             buffer = self._spill[node_name] = deque()
-        buffer.append((trace_id, payload, parsed))
+        buffer.append((trace_id, body, nbytes))
         self.stats.events_spilled += 1
         collector = collector_for(self.env)
         if collector is not None:
@@ -428,16 +440,13 @@ class DarshanLdmsConnector:
         buffer = self._spill[node_name]
         collector = collector_for(self.env)
         while buffer:
-            trace_id, payload, parsed = buffer[0]
-            yield self.env.timeout(daemon.publish_cost(len(payload)))
+            trace_id, body, nbytes = buffer[0]
+            yield self.env.timeout(daemon.publish_cost(nbytes))
             if daemon.failed:
                 return False
             if collector is not None:
                 collector.hop(trace_id, STAGE_PUBLISH, node_name, REPLAYED)
-            daemon.publish_prepaid(
-                self.config.stream_tag, payload, fmt="json",
-                trace_id=trace_id, parsed=parsed,
-            )
+            self._send(daemon, trace_id, body, nbytes, self.env.now)
             buffer.popleft()
             self.stats.events_replayed += 1
         return True

@@ -28,11 +28,19 @@ numeric-field count instead of walking every message.
 :meth:`MessageBuilder.format_columnar` computes the accounting from
 the varying slots and defers rendering the payload until something
 reads it; :meth:`MessageBuilder.format` is the reference
-``json.dumps`` walk.  Each template is verified against the
-reference once at compile time (and per message under
-``REPRO_FORMAT_DEBUG=1``), so both paths are byte-identical by
-construction; shapes that fail the self-check fall back to the
-reference.
+``json.dumps`` walk.  Each template's payload and numeric count are
+verified against the reference once at compile time (and, with the
+accounting and cost, per message under ``REPRO_FORMAT_DEBUG=1``), so
+both paths are byte-identical by construction; shapes that fail the
+self-check fall back to the reference.
+
+A fast-lane row is always ``(shape, values)``: the express spine, the
+lazy :class:`~repro.core.batch.ColumnarMessage` and the connector's
+spill buffer all carry it as is, and the DSOS store builds its
+database row from it.  A payload string exists only on the reference
+lane, for a shape that failed its self-check and for the
+``mode="none"`` ablation, or when a consumer reads
+``ColumnarMessage.payload``.
 """
 
 from __future__ import annotations
@@ -95,10 +103,6 @@ class FormattedMessage:
     payload: str
     numeric_conversions: int
     format_cost_s: float
-    #: Fast-lane extra: the dict ``json.loads(payload)`` would produce,
-    #: rebuilt from the shape's template so downstream consumers (the
-    #: DSOS store) can skip the parse.  None from :meth:`format`.
-    parsed: dict | None = None
 
 
 def _scalar(value) -> str:
@@ -138,33 +142,12 @@ class _Shape:
         # Strong reference: the cache key uses id(context), which must
         # not be reused by a new context while this shape is cached.
         self.context = context
-        #: Dict templates (outer message / seg entry) with statics
-        #: filled; :meth:`parsed` copies them and assigns the varying
-        #: slots, reproducing ``json.loads(payload)`` without a parse.
+        #: The compiling event's message dict and its seg entry: the
+        #: statics the DSOS store precompiles its per-shape row
+        #: template from (the varying slots' values in them are that
+        #: event's, and nothing reads them).
         self.base: dict | None = None
         self.seg_base: dict | None = None
-
-    def parsed(self, values) -> dict:
-        """The message dict for ``values`` — equal to parsing the
-        rendered payload (finite numbers round-trip exactly)."""
-        msg = self.base.copy()
-        seg = self.seg_base.copy()
-        if len(values) == 14:  # HDF5 shape: per-event selection counters
-            (
-                msg["record_id"], msg["max_byte"], msg["switches"],
-                msg["flushes"], msg["cnt"],
-                seg["pt_sel"], seg["irreg_hslab"], seg["reg_hslab"],
-                seg["ndims"], seg["npoints"],
-                seg["off"], seg["len"], seg["dur"], seg["timestamp"],
-            ) = values
-        else:
-            (
-                msg["record_id"], msg["max_byte"], msg["switches"],
-                msg["flushes"], msg["cnt"],
-                seg["off"], seg["len"], seg["dur"], seg["timestamp"],
-            ) = values
-        msg["seg"] = [seg]
-        return msg
 
     def render(self, values) -> tuple[str, int]:
         """Interpolate ``values`` (one per slot); returns (payload, numeric)."""
@@ -232,11 +215,10 @@ class _Shape:
 
 class ColumnarFormatted:
     """One event formatted column-wise: the shape and its slot values
-    plus the usual accounting, with the payload render and dict
-    materialization deferred.  The fast lane hands the shape and values
-    straight to the express spine or a lazy
-    :class:`~repro.core.batch.ColumnarMessage`; the payload is only
-    ever rendered if something downstream actually reads it."""
+    plus the usual accounting, with the payload render deferred.  The
+    fast lane hands the shape and values straight to the express spine
+    or a lazy :class:`~repro.core.batch.ColumnarMessage`; the payload is
+    only ever rendered if something downstream actually reads it."""
 
     __slots__ = (
         "shape", "values", "numeric_conversions", "payload_chars",
@@ -410,17 +392,11 @@ class MessageBuilder:
         reference = json.dumps(message, separators=(",", ":"))
         ref_count = self.count_numeric_fields(message)
         shape = _Shape(tuple(statics), 0, ctx)
-        shape.base = dict(message)
-        shape.base["seg"] = None  # placeholder keeps the key position
-        shape.seg_base = dict(message["seg"][0])
-        values = self._values(event)
-        payload, varying = shape.render(values)
+        shape.base = message
+        shape.seg_base = message["seg"][0]
+        payload, varying = shape.render(self._values(event))
         shape.static_numeric = ref_count - varying
-        if (
-            payload != reference
-            or shape.static_numeric < 0
-            or shape.parsed(values) != json.loads(reference)
-        ):
+        if payload != reference or shape.static_numeric < 0:
             return None
         return shape
 
@@ -483,5 +459,4 @@ class MessageBuilder:
             assert nchars == len(payload)
             assert numeric == reference.numeric_conversions
             assert cost == reference.format_cost_s
-            assert shape.parsed(values) == json.loads(payload)
         return ColumnarFormatted(shape, values, numeric, nchars, cost)

@@ -11,11 +11,14 @@ sharded store, an ``insert`` per row on a flat one.  A slow-store
 episode defers admitted messages and lands them the same way when it
 ends.
 
-Fast lane: the attribute → source mapping is precompiled into a row
-plan (no per-attribute name tests on the hot path), and a columnar
-message builds its row from a compiled per-shape spec with no message
-dict.  Both produce byte-identical objects in the identical
-round-robin placement.
+A message with a payload string (the reference lane, a fast-lane
+shape miss, the ``format_mode="none"`` ablation) is parsed and
+flattened by :meth:`DsosStreamStore._flatten`, the reference walk.  A
+fast-lane :class:`~repro.core.batch.ColumnarMessage` carries no payload
+string: its row builds from a per-shape spec compiled from the
+message shape's statics, self-checked once per shape against the
+reference walk of its rendered payload.  Both produce byte-identical
+objects in the identical placement.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ _STR_DEFAULT = "N/A"
 _FLOAT_DEFAULT = -1.0
 
 #: Varying-slot index per message field, by slot-tuple arity — the two
-#: template layouts of :meth:`repro.core.json_format._Shape.parsed`.
+#: slot layouts of :meth:`repro.core.json_format.MessageBuilder._values`.
 _VAR_OUTER = {"record_id": 0, "max_byte": 1, "switches": 2, "flushes": 3, "cnt": 4}
 _VAR_SEG_9 = {"off": 5, "len": 6, "dur": 7, "timestamp": 8}
 _VAR_SEG_14 = {
@@ -64,8 +67,6 @@ class DsosStreamStore:
         tag: str,
         client: DsosClient,
         schema=DARSHAN_DATA_SCHEMA,
-        *,
-        fast: bool = True,
     ):
         self.daemon = daemon
         self.tag = tag
@@ -74,7 +75,6 @@ class DsosStreamStore:
         client.ensure_schema(schema)
         self.parse_errors = 0
         self.objects_stored = 0
-        self._fast = fast
         #: Replicated cluster: each row is a quorum write, acked per write.
         self._sharded = getattr(client.cluster, "sharded", False)
         #: Messages stored below write quorum / rejected outright (a
@@ -99,8 +99,8 @@ class DsosStreamStore:
         self._row_plan = self._compile_row_plan(schema)
         #: id(shape) -> (shape, var-spec | None): the columnar row
         #: builder per message shape (None = self-check failed, build
-        #: through the parsed dict instead).  The shape reference keeps
-        #: the id stable for the cache's lifetime.
+        #: through the reference walk instead).  The shape reference
+        #: keeps the id stable for the cache's lifetime.
         self._columnar_plans: dict[int, tuple] = {}
         #: ``stored`` subscribers of the observer hub, called the
         #: instant a message's rows land (repro.diagnosis rides this).
@@ -127,28 +127,25 @@ class DsosStreamStore:
         return plan
 
     def on_message(self, message) -> None:
-        data = None
-        if not (self._fast and type(message) is ColumnarMessage):
-            # Fast lane: a publisher that template-built the payload
-            # ships the equal-by-construction dict alongside it — skip
-            # the parse.  (A columnar message needs no dict at all; its
-            # rows build straight from its shape in :meth:`_rows`.)
-            data = message.parsed if self._fast else None
-            if data is None:
-                try:
-                    data = json.loads(message.payload)
-                except json.JSONDecodeError:
-                    self.parse_errors += 1
-                    self._ingest_hop(message, DROP_PARSE_ERROR)
-                    return
-                if not isinstance(data, dict):
-                    self.parse_errors += 1
-                    self._ingest_hop(message, DROP_PARSE_ERROR)
-                    return
+        columnar = type(message) is ColumnarMessage
+        if not columnar:
+            try:
+                data = json.loads(message.payload)
+            except json.JSONDecodeError:
+                self.parse_errors += 1
+                self._ingest_hop(message, DROP_PARSE_ERROR)
+                return
+            if not isinstance(data, dict):
+                self.parse_errors += 1
+                self._ingest_hop(message, DROP_PARSE_ERROR)
+                return
         if not self.journal.admit(message.trace_id):
             self._ingest_hop(message, DUP_IGNORED)
             return
-        rows = self._rows(message, data)
+        if columnar:
+            rows = self.columnar_rows(message.shape, message.values)
+        else:
+            rows = list(self._flatten(data))
         if self._slow:
             self._slow_pending.append((message, rows))
             if message.trace_id:
@@ -159,19 +156,6 @@ class DsosStreamStore:
                     )
             return
         self._land(message, rows)
-
-    def _rows(self, message, data) -> list[dict]:
-        """One admitted message's database rows.
-
-        ``data is None`` only for a fast-lane :class:`ColumnarMessage`:
-        its rows come from the compiled per-shape spec
-        (:meth:`columnar_rows`), equal to flattening its parsed dict.
-        """
-        if data is None:
-            return self.columnar_rows(message.shape, message.values)
-        if self._fast:
-            return self._flatten_fast(data)
-        return list(self._flatten(data))
 
     def _land(self, message, rows: list, *, opened: bool = False) -> None:
         """Store one admitted message's rows and record its ingest hop
@@ -278,26 +262,6 @@ class DsosStreamStore:
             for callback in self._on_stored:
                 callback(t, message, n_rows)
 
-    def _flatten_fast(self, data: dict) -> list[dict]:
-        """Row-plan flatten: same objects as :meth:`_flatten`, with the
-        already-right-typed common case skipping coercion."""
-        segments = data.get("seg") or ({},)
-        plan = self._row_plan
-        coerce = self._coerce
-        rows = []
-        for seg in segments:
-            obj = {}
-            for name, from_seg, key, exact, tname in plan:
-                raw = seg.get(key) if from_seg else data.get(key)
-                if type(raw) is exact and (
-                    exact is not int or INT_MIN <= raw <= INT_MAX
-                ):
-                    obj[name] = raw
-                else:
-                    obj[name] = coerce(raw, tname)
-            rows.append(obj)
-        return rows
-
     # -- columnar ingest (the express spine's terminal hop) ----------------
 
     def columnar_rows(self, shape, values) -> list[dict]:
@@ -307,22 +271,23 @@ class DsosStreamStore:
         slot values; a per-shape *var spec* maps each schema attribute
         either to a pre-coerced static (from the shape's templates) or
         to a slot index.  The first build per shape is self-checked
-        against the reference ``_flatten_fast`` path; a mismatching
-        shape falls back to building through its parsed dict forever.
+        against the reference walk of the rendered payload
+        (:meth:`_reference_rows`); a mismatching shape builds through
+        that walk forever.
         """
         plans = self._columnar_plans
         entry = plans.get(id(shape))
         if entry is None or entry[0] is not shape:
             plans[id(shape)] = (shape, self._compile_columnar_spec(shape, values))
             built = self.columnar_rows(shape, values)
-            reference = self._flatten_fast(shape.parsed(values))
+            reference = self._reference_rows(shape, values)
             if built == reference:
                 return built
             plans[id(shape)] = (shape, None)
             return reference
         spec = entry[1]
         if spec is None:
-            return self._flatten_fast(shape.parsed(values))
+            return self._reference_rows(shape, values)
         template, var_spec = spec
         coerce = self._coerce
         obj = template.copy()
@@ -361,6 +326,11 @@ class DsosStreamStore:
                 template[name] = None
                 var_spec.append((name, idx, exact, tname))
         return (template, tuple(var_spec))
+
+    def _reference_rows(self, shape, values) -> list[dict]:
+        """One columnar row's rows the reference way: render, parse,
+        flatten."""
+        return list(self._flatten(json.loads(shape.render(values)[0])))
 
     def _flatten(self, data: dict):
         segments = data.get("seg") or [{}]

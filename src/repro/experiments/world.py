@@ -214,9 +214,7 @@ class World:
                 repair=config.dsos_repair,
             )
         )
-        self.store = DsosStreamStore(
-            self.fabric.l2, STREAM_TAG, self.dsos, fast=config.fast_lane
-        )
+        self.store = DsosStreamStore(self.fabric.l2, STREAM_TAG, self.dsos)
         self.csv_store = (
             CsvStreamStore(self.fabric.l2, STREAM_TAG) if config.keep_csv else None
         )

@@ -125,7 +125,11 @@ class _Forwarder:
       whose completion callback delivers the batch and drains again.
       Completion instants are float-identical to the reference path;
       only the event *count* differs, so simulated results can diverge
-      solely on exact float-time ties.
+      on exact float-time ties, and on a crash fired inside the bus
+      delivery that enqueued a message: the fast lane's outbox still
+      holds it for the kick, so the crash purges it, while the
+      reference process already took it (see
+      :data:`repro.experiments.chaos.LANES`).
     """
 
     def __init__(
@@ -638,14 +642,16 @@ class Ldmsd:
         fmt: str = "json",
         trace_id: str = "",
         publish_time: float | None = None,
-        parsed: dict | None = None,
     ) -> int:
         """The post-timeout half of :meth:`publish`, for callers that
-        already charged :meth:`publish_cost` themselves (the connector's
-        coalesced fast lane).  ``publish_time`` is the instant the
-        two-trip path would have stamped (format done, cost not yet
-        charged); failure is checked *now*, exactly like :meth:`publish`
-        checks after its own timeout.
+        already charged :meth:`publish_cost` themselves.  The connector
+        sends a string payload this way: spill sends and replays on the
+        reference lane, and on the fast lane a shape miss or the
+        ``format_mode="none"`` ablation (a fast-lane row goes through
+        :meth:`publish_prepaid_message`).  ``publish_time`` is the
+        instant the two-trip path would have stamped (format done, cost
+        not yet charged); failure is checked *now*, exactly like
+        :meth:`publish` checks after its own timeout.
         """
         if self._express_spine is not None:
             self._express_spine.on_mutation()
@@ -661,7 +667,6 @@ class Ldmsd:
             src_node=self.node.name,
             publish_time=t_pub,
             trace_id=trace_id,
-            parsed=parsed,
         )
         self._record_hop(trace_id, _trace.STAGE_PUBLISH, _trace.PUBLISHED, t_in=t_pub)
         return self.streams.publish(message)
@@ -669,7 +674,8 @@ class Ldmsd:
     def publish_prepaid_message(self, message) -> int:
         """:meth:`publish_prepaid` for a caller-built message object.
 
-        The fast lane's per-message path publishes a lazy
+        The fast lane's per-message path, spill sends and replays
+        included, publishes a lazy
         :class:`~repro.core.batch.ColumnarMessage` whose payload renders
         only if something downstream reads it; semantics (failure
         check, publish hop, bus delivery) are identical.

@@ -30,11 +30,6 @@ class StreamMessage:
     #: out of band — never part of the payload, so tracing cannot change
     #: message sizes or costs.
     trace_id: str = ""
-    #: Fast-lane sidecar: the dict ``json.loads(payload)`` yields,
-    #: attached by publishers that built the payload from a compiled
-    #: template.  Out of band like ``trace_id`` — consumers that use it
-    #: (the DSOS store) skip the parse; everything else ignores it.
-    parsed: dict | None = None
 
     def __post_init__(self) -> None:
         if self.fmt not in ("json", "string"):

@@ -46,7 +46,21 @@ def _columnar(event):
 # -------------------------------------------------------- ColumnarMessage
 
 
-def test_columnar_message_matches_reference_payload():
+def _reference_rows(store, payload):
+    """The store's reference walk: parse ``payload`` and flatten it."""
+    return list(store._flatten(json.loads(payload)))
+
+
+def _store_rows(store, msg):
+    """The rows ``store`` builds from ``msg``'s shape and values with
+    its compiled per-shape spec (which must pass its self-check: a
+    failed one would hand back the reference walk's rows instead)."""
+    rows = store.columnar_rows(msg.shape, msg.values)
+    assert store._columnar_plans[id(msg.shape)][1] is not None
+    return rows
+
+
+def test_columnar_message_matches_reference_payload(dsos_store):
     event = _event()
     f = _columnar(event)
     reference = MessageBuilder().format(event)
@@ -56,12 +70,14 @@ def test_columnar_message_matches_reference_payload():
     )
     assert msg.size_bytes == len(reference.payload)
     assert msg.payload == reference.payload
-    assert msg.parsed == json.loads(reference.payload)
+    assert _store_rows(dsos_store, msg) == _reference_rows(
+        dsos_store, reference.payload
+    )
     # Cached after first access.
     assert msg.payload is msg.payload
 
 
-def test_columnar_message_lazy_rerenders_from_values():
+def test_columnar_message_lazy_rerenders_from_values(dsos_store):
     event = _event()
     f = _columnar(event)
     reference = MessageBuilder().format(event)
@@ -71,10 +87,15 @@ def test_columnar_message_lazy_rerenders_from_values():
     assert f.format_cost_s == reference.format_cost_s
     msg = ColumnarMessage("darshanConnector", f.shape, f.values,
                           f.payload_chars)
-    assert msg._payload is None and msg._parsed is None
+    assert msg._payload is None
+    # ...the store builds the reference rows from the slot values
+    # without one...
+    assert _store_rows(dsos_store, msg) == _reference_rows(
+        dsos_store, reference.payload
+    )
+    assert msg._payload is None
     # ...and a reader renders it from the slot values on first access.
     assert msg.payload == reference.payload
-    assert msg.parsed == json.loads(reference.payload)
 
 
 def test_render_meta_matches_render_parts():

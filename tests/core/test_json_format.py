@@ -153,10 +153,11 @@ def test_default_cost_magnitude_matches_paper():
 # -- fast-lane golden tests ---------------------------------------------------
 #
 # The template-compiled serializer memoizes per message *shape*: the
-# static-field prefix, the numeric-conversion count, and (for the parsed
-# sidecar) dict templates.  These goldens pin every cached quantity to a
-# fresh slow-path walk for each shape the connector emits: MET (open,
-# absolute paths), MOD (data, N/A paths) and the HDF5 segment variant.
+# static-field prefix, the numeric-conversion count, and the statics the
+# DSOS store compiles its row spec from.  These goldens pin every cached
+# quantity to a fresh slow-path walk for each shape the connector emits:
+# MET (open, absolute paths), MOD (data, N/A paths) and the HDF5
+# segment variant.
 
 _GOLDEN_SHAPES = {
     "met": dict(op="open", nbytes=0, max_byte=-1),
@@ -204,23 +205,23 @@ def test_fast_lane_numeric_count_matches_fresh_walk(shape):
 
 
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
-def test_fast_lane_parsed_sidecar_equals_json_loads(shape):
+def test_fast_lane_parsed_sidecar_equals_json_loads(shape, dsos_store):
+    """The DSOS store's rows for a fast-lane row, built from its shape
+    and values with no payload and no message dict, equal the reference
+    walk of the reference payload: ``json.loads`` then ``_flatten``."""
     event = _event(**_GOLDEN_SHAPES[shape])
     builder = MessageBuilder()
     _fast(builder, event)  # warm the cache; second call uses templates
     fm = _fast(builder, event)
-    parsed = fm.shape.parsed(fm.values)
-    payload = json.loads(fm.shape.render(fm.values)[0])
-    assert parsed == payload
-    # Key order matters downstream (Figure-3 order is part of the
-    # payload contract) — the sidecar must preserve it too.
-    assert list(parsed) == list(payload)
-    assert list(parsed["seg"][0]) == list(payload["seg"][0])
-
-
-def test_slow_lane_has_no_parsed_sidecar():
-    fm = MessageBuilder().format(_event())
-    assert fm.parsed is None
+    rows = dsos_store.columnar_rows(fm.shape, fm.values)
+    # The rows came from the store's compiled per-shape spec: a spec
+    # that failed its self-check would hand back the reference rows.
+    assert dsos_store._columnar_plans[id(fm.shape)][1] is not None
+    payload = MessageBuilder().format(event).payload
+    reference = list(dsos_store._flatten(json.loads(payload)))
+    assert rows == reference
+    # Key order too: both walk the schema's attributes in order.
+    assert [list(row) for row in rows] == [list(row) for row in reference]
 
 
 def test_debug_mode_cross_checks_every_columnar_message():

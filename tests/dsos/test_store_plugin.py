@@ -7,11 +7,14 @@ import pytest
 
 from repro.apps import MpiIoTest
 from repro.cluster import Cluster, ClusterSpec
-from repro.core import ConnectorConfig
+from repro.core import ConnectorConfig, MessageBuilder
+from repro.core.json_format import ColumnarFormatted
+from repro.darshan.runtime import IOEvent
 from repro.dsos import DARSHAN_DATA_SCHEMA, DsosClient, DsosCluster, DsosStreamStore
 from repro.experiments import World, WorldConfig, run_job
 from repro.experiments.world import STREAM_TAG
 from repro.faults import FaultPlan, SlowStore
+from repro.fs.posix import IOContext
 from repro.ldms import Ldmsd, StreamMessage
 from repro.sim import Environment, RngRegistry
 from repro.telemetry import install
@@ -145,6 +148,57 @@ def test_ints_beyond_int64_in_raw_json_are_stored_as_the_default(
     assert ledger == {(259903, 3): {"published": 1, "stored": 1, "dropped": 0,
                                     "spilled": 0, "in_flight": 0,
                                     "drops": {}}}
+
+
+_CTX = IOContext(job_id=259903, uid=99066, rank=3, node_name="nid00046",
+                 exe="/apps/hacc-io", app="hacc-io")
+
+
+def _columnar(builder, nbytes):
+    """A fast-lane row of one POSIX write shape, and the reference
+    payload of the same event."""
+    event = IOEvent(
+        module="POSIX", op="write", path="/scratch/part.dat",
+        record_id=123456789, context=_CTX, offset=0, nbytes=nbytes,
+        start=1650000100.0, end=1650000100.25, cnt=7, switches=2,
+        flushes=-1, max_byte=nbytes - 1,
+    )
+    formatted = builder.format_columnar(event)
+    assert type(formatted) is ColumnarFormatted
+    return formatted, MessageBuilder().format(event).payload
+
+
+def test_columnar_rows_fall_back_to_the_reference_walk(daemon, client):
+    """A shape whose row spec fails its self-check builds every row
+    through the reference walk (render, ``json.loads``, ``_flatten``),
+    the row that failed the check included."""
+    store = DsosStreamStore(daemon, TAG, client)
+    builder = MessageBuilder()
+    first, first_payload = _columnar(builder, 4096)
+    second, second_payload = _columnar(builder, 512)
+    shape = first.shape
+    assert second.shape is shape
+
+    def reference(payload):
+        return list(store._flatten(json.loads(payload)))
+
+    # Intact, the spec passes its self-check (on a store of its own, so
+    # this one compiles the corrupted shape afresh).
+    intact = DsosStreamStore(daemon, TAG, client)
+    assert intact.columnar_rows(shape, first.values) == reference(first_payload)
+    assert intact._columnar_plans[id(shape)][1] is not None
+
+    # A seg static the spec copies into every row no longer matches
+    # what the shape renders.
+    shape.seg_base = {**shape.seg_base, "data_set": "corrupted"}
+    rows = store.columnar_rows(shape, first.values)
+    assert rows == reference(first_payload)
+    assert rows[0]["seg_data_set"] == "N/A"
+    assert store._columnar_plans[id(shape)] == (shape, None)
+    # The fallback is cached: later rows of the shape take the walk too.
+    assert store.columnar_rows(shape, second.values) == reference(second_payload)
+    assert reference(second_payload) != reference(first_payload)
+    assert store._columnar_plans[id(shape)] == (shape, None)
 
 
 def test_store_counts_garbage(env, daemon, client):

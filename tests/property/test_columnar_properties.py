@@ -8,14 +8,13 @@ These tests pin both halves against the reference lane:
 * property tests over random events — ``format_columnar``'s accounting
   (numeric conversions, payload chars, cost) equals ``format()``'s,
   and the ColumnarMessage built from it renders the byte-identical
-  payload, its parsed sidecar and the same ``size_bytes``;
+  payload with the same ``size_bytes``, and the DSOS store builds the
+  reference walk's rows from its shape and values;
 * a de-armed campaign (a foreign L2 subscriber) — the per-message
   ColumnarMessage path produces the byte-identical payload stream of
   the slow lane, and de-arming by subscription is indistinguishable
   from de-arming by an explicit ``dearm()`` before the job.
 """
-
-import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +26,9 @@ from tests.property.test_fastlane_properties import (
     _PLAIN,
     _events,
     _hmmer_campaign,
+    assert_store_rows_match,
 )
+from tests.property.test_trusted_producers import _store
 
 
 # ------------------------------------------------------ random events
@@ -38,6 +39,7 @@ from tests.property.test_fastlane_properties import (
 def test_columnar_serializer_accounting_is_identical(events):
     columnar = MessageBuilder()
     reference = MessageBuilder()
+    store = _store()
     for event in events:
         ref = reference.format(event)
         fm = columnar.format_columnar(event)
@@ -52,7 +54,7 @@ def test_columnar_serializer_accounting_is_identical(events):
                               fm.payload_chars)
         assert msg.size_bytes == len(ref.payload)
         assert msg.payload == ref.payload
-        assert msg.parsed == json.loads(ref.payload)
+        assert_store_rows_match(store, msg, ref.payload)
 
 
 # ------------------------------------------------ de-armed spine path

@@ -9,7 +9,9 @@ invisible to the simulation.  These tests hold that line:
 * property tests over random events — the column-wise serializer's
   payload, rendered on demand, is byte-identical to the reference
   walk, its accounting (numeric conversions, payload chars, cost)
-  matches, and its parsed sidecar equals ``json.loads(payload)``;
+  matches, and the DSOS store's rows built from its shape and values
+  equal the reference walk (``json.loads``, then ``_flatten``) of the
+  reference payload;
 * a deterministic HMMER campaign run from one seed on the slow lane,
   the event-driven fast lane and the armed express spine — connector
   stats, DSOS rows, simulated end time and (with telemetry) every
@@ -41,6 +43,8 @@ from repro.experiments.world import STREAM_TAG
 from repro.faults import DaemonCrash, FaultPlan, LinkPartition, SlowStore
 from repro.fs.posix import IOContext
 from repro.ldms.resilience import RetryPolicy
+
+from tests.property.test_trusted_producers import _store
 
 
 # --------------------------------------------------------- random events
@@ -92,11 +96,22 @@ def _events(draw):
     )
 
 
+def assert_store_rows_match(store, fm, payload):
+    """The rows ``store`` builds from the fast-lane row ``fm``'s shape
+    and values are the reference walk of ``payload``, and they came
+    from the store's compiled per-shape spec (a spec that failed its
+    self-check would hand back the reference rows instead)."""
+    rows = store.columnar_rows(fm.shape, fm.values)
+    assert store._columnar_plans[id(fm.shape)][1] is not None
+    assert rows == list(store._flatten(json.loads(payload)))
+
+
 @given(events=st.lists(_events(), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_fast_serializer_is_byte_identical(events):
     fast = MessageBuilder()
     reference = MessageBuilder()
+    store = _store()
     for event in events:
         ref = reference.format(event)
         fm = fast.format_columnar(event)
@@ -107,9 +122,9 @@ def test_fast_serializer_is_byte_identical(events):
         assert fm.numeric_conversions == ref.numeric_conversions
         assert fm.payload_chars == len(ref.payload)
         assert fm.format_cost_s == ref.format_cost_s
-        # The payload, rendered on demand, and its parsed sidecar.
+        # The payload, rendered on demand, and the store's rows.
         assert fm.shape.render(fm.values)[0] == ref.payload
-        assert fm.shape.parsed(fm.values) == json.loads(ref.payload)
+        assert_store_rows_match(store, fm, ref.payload)
 
 
 # ------------------------------------------------------ world outcomes

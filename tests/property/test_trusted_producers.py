@@ -6,11 +6,11 @@ so each such row must hold every schema attribute at the attribute's
 exact Python type (an ``int`` within int64, a ``float``, a ``str``).
 These producers build those rows:
 
-- the store plugin's ``_flatten`` (slow lane), ``_flatten_fast`` and
-  ``columnar_rows`` (fast lane and express spine), from messages whose
-  fields Hypothesis draws from what a JSON payload can hold: ``"N/A"``,
-  None, numeric strings, bools, ints beyond int64, NaN and ±inf, text
-  and lists;
+- the store plugin's ``_flatten`` (every message carrying a payload
+  string, landed through ``on_message``) and ``columnar_rows`` (fast
+  lane and express spine), from messages whose fields Hypothesis draws
+  from what a JSON payload can hold: ``"N/A"``, None, numeric strings,
+  bools, ints beyond int64, NaN and ±inf, text and lists;
 - the express spine's ingest slabs (``_flush_slab``);
 - ``MetricStreamStore``, from drawn metric values (a message with a
   value that is not a number is a parse error, with nothing stored);
@@ -34,6 +34,7 @@ from repro.dsos.metrics_schema import LDMS_METRICS_SCHEMA
 from repro.experiments import World, WorldConfig, ablations, run_job
 from repro.fs.posix import IOContext
 from repro.ldms import Ldmsd
+from repro.ldms.streams import StreamMessage
 from repro.sim import Environment, RngRegistry
 
 _EXACT = {"int": int, "float": float, "string": str}
@@ -93,12 +94,18 @@ def test_flattened_rows_are_exact(outer, segs):
     store = _store()
     data = {**outer, "seg": segs}
     # What json.loads gives back from the payload the message carries.
-    parsed = json.loads(json.dumps(data))
-    slow = list(store._flatten(parsed))
-    fast = store._flatten_fast(parsed)
+    payload = json.dumps(data)
+    slow = list(store._flatten(json.loads(payload)))
     _assert_exact(DARSHAN_DATA_SCHEMA, slow)
-    _assert_exact(DARSHAN_DATA_SCHEMA, fast)
-    assert [[(type(v), repr(v)) for v in r.values()] for r in fast] == \
+    # What the store lands for a message carrying that payload: exactly
+    # those rows, value for value.
+    landed = []
+    store.client.cluster.insert = (
+        lambda name, obj, *, validate=True: landed.append(obj)
+    )
+    store.on_message(StreamMessage("darshanConnector", payload))
+    _assert_exact(DARSHAN_DATA_SCHEMA, landed)
+    assert [[(type(v), repr(v)) for v in r.values()] for r in landed] == \
         [[(type(v), repr(v)) for v in r.values()] for r in slow]
 
 
