@@ -5,7 +5,10 @@ schema's indices over *its* shard.  A shard keeps each attribute as one
 column of the attribute's schema dtype (int64, float64, or object for
 strings), so every object it stores must be an exact row
 (:meth:`~repro.dsos.schema.Schema.row`): checked on insert, or vouched
-for by a caller passing ``validate=False``.  Cluster-level queries fan
+for by a caller passing ``validate=False``.  Each value is held once,
+there: an index is an order over the shard's columns
+(:class:`~repro.dsos.index.SortedIndex`), built when a read needs it,
+so storing an object does no index work.  Cluster-level queries fan
 out to daemons and merge; the per-daemon work (rows scanned in index
 order) is what the latency model charges.
 
@@ -25,8 +28,7 @@ log appends, byte-identical to the pre-replication store.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import eq, ge, gt, itemgetter, le, lt, ne
+from operator import eq, ge, gt, le, lt, ne
 
 import numpy as np
 
@@ -48,19 +50,6 @@ _OPS = {
 
 class StoreDownError(RuntimeError):
     """An operation reached a crashed daemon (or a replica-less shard)."""
-
-
-def _key_getter(positions: tuple):
-    """``row -> tuple`` of its values at ``positions``: for an index
-    over the attributes at those positions of a schema row
-    (:meth:`~repro.dsos.schema.Schema.row`), the key
-    :meth:`~repro.dsos.schema.Schema.key_for` gives (an ``itemgetter``
-    over several positions already yields the tuple; one needs the
-    1-tuple built)."""
-    if len(positions) == 1:
-        p0 = positions[0]
-        return lambda row: (row[p0],)
-    return itemgetter(*positions)
 
 
 #: Rows a shard appends between two folds of every column's tail: no
@@ -85,24 +74,19 @@ class _Shard:
     Every stored object goes through :meth:`add` or :meth:`add_many`
     as a row the schema built (:meth:`~repro.dsos.schema.Schema.row`),
     which holds exactly the schema's attributes, each value of its
-    attribute's exact type; its index keys are taken from the same
-    row, so columns and index keys stay in step.
+    attribute's exact type.  Storing a row does no index work: an
+    index orders the rows stored since its last read when it is next
+    read (:class:`~repro.dsos.index.SortedIndex`).
     """
 
     def __init__(self, schema: Schema):
         self.schema = schema
         self.indices = {
-            name: SortedIndex(name, attrs)
+            name: SortedIndex(name, attrs, self)
             for name, attrs in schema.indices.items()
         }
         #: ``name -> position`` of each attribute in a row.
         self._pos = {name: i for i, name in enumerate(schema.attrs)}
-        #: ``(index, key getter)`` per index, built once per shard.
-        self._keyed = [
-            (self.indices[name],
-             _key_getter(tuple(self._pos[a] for a in attrs)))
-            for name, attrs in schema.indices.items()
-        ]
         #: Per attribute, in schema order: the values appended since
         #: the attribute's last fold.
         self._tails: list[list] = [[] for _ in schema.attrs]
@@ -119,25 +103,17 @@ class _Shard:
         """Append one schema row; returns its oid."""
         oid = self._n
         list(map(list.append, self._tails, row))
-        for index, key_of in self._keyed:
-            index.add(key_of(row), oid)
         self._n = oid + 1
         if self._n >= self._next_fold:
             self._fold_all()
         return oid
 
     def add_many(self, rows: list) -> None:
-        """Append a batch of schema rows: one index pass per index and
-        one transpose of the batch, not a pass per row.  The key
-        getters guarantee each key's length, so the per-key check in
-        ``SortedIndex.add`` is redundant here."""
-        base = self._n
+        """Append a batch of schema rows: one transpose of the batch,
+        not a pass per row."""
         for tail, column in zip(self._tails, zip(*rows)):
             tail.extend(column)
-        oids = range(base, base + len(rows))
-        for index, key_of in self._keyed:
-            index.extend_unchecked(list(zip(map(key_of, rows), oids)))
-        self._n = base + len(rows)
+        self._n += len(rows)
         if self._n >= self._next_fold:
             self._fold_all()
 
@@ -389,11 +365,10 @@ class Dsosd:
         end: tuple | None = None,
         prefix: tuple | None = None,
         filters: list[tuple] | None = None,
-    ) -> tuple[list, np.ndarray, int]:
-        """``(keys, oids, scanned)``: the index keys and object ids (an
-        ``intp`` array) of the matching objects, in key order, plus the
-        number of index entries scanned (pre-filter) for the cost
-        model."""
+    ) -> tuple[np.ndarray, int]:
+        """``(oids, scanned)``: the object ids (an ``intp`` array) of the
+        matching objects, in key order, and the number of index entries
+        scanned (pre-filter) for the cost model."""
         shard = self._shard(schema_name)
         if index_name not in shard.indices:
             raise SchemaError(
@@ -403,15 +378,14 @@ class Dsosd:
         if prefix is not None and (begin is not None or end is not None):
             raise ValueError("prefix is exclusive with begin/end")
         checks = self._compile_filters(shard.schema, filters or ())
-        keys, oids = index.scan(begin, end, prefix=prefix)
+        oids = index.scan(begin, end, prefix=prefix)
         scanned = len(oids)
         # Each filter runs on the rows the ones before it kept, as a
         # row-by-row scan that stops at a row's first failing filter.
         for attr, fn, value in checks:
             keep = [bool(fn(v, value)) for v in shard.values(attr, oids)]
-            keys = list(compress(keys, keep))
             oids = oids[np.asarray(keep, dtype=bool)]
-        return keys, oids, scanned
+        return oids, scanned
 
     @staticmethod
     def _compile_filters(schema: Schema, filters) -> list[tuple]:

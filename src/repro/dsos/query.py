@@ -18,18 +18,21 @@ the primary restarted with a torn WAL.
 
 Results are read from the shards' columns, each of its attribute's
 schema dtype on every shard: a frame takes them at the selected object
-ids, and a multi-stream merge orders them with one ``np.lexsort``
-unless a key is a string or a selected float is NaN.
+ids, and a multi-stream merge orders the selections' key columns by
+the rule that orders every index
+(:func:`~repro.dsos.index.key_order`: one stable ``np.lexsort``, or
+the stable sort of the key tuples when a selected float is NaN).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import eq
 
 import numpy as np
+
+from repro.dsos.index import key_order
 
 __all__ = ["Query", "QueryResult", "QueryStats", "Rows"]
 
@@ -187,49 +190,6 @@ class QueryResult:
         return DataFrame._on_demand(parts[0][0].schema.attrs, self._n, build)
 
 
-def _lexsort_order(shards: list, takes: list, attrs: tuple):
-    """The merge order of the concatenated selections (``takes[i]``
-    the oids taken from ``shards[i]``) by one stable ``np.lexsort``
-    over the index attributes' typed shard columns, or None when that
-    order could differ from the key tuples' own.
-
-    Each attribute has its schema's dtype on every shard, and int64
-    and NaN-free float64 values compare as Python compares them
-    (``-0.0 == 0.0``, ±inf at the ends).  Two keys take the tuple
-    sort: a string attribute (an object column), and a selected NaN
-    (not ordered at all: a stable tuple sort leaves it where its
-    neighbours' compares put it, lexsort puts it last).
-    """
-    schema = shards[0].schema
-    if any(schema.attrs[a].type == "string" for a in attrs):
-        return None
-    keys = []
-    per_part = [[shard.column(attr)[take] for attr in attrs]
-                for shard, take in zip(shards, takes)]
-    for cols in zip(*per_part):
-        col = np.concatenate(cols)
-        if col.dtype.kind == "f" and np.isnan(col).any():
-            return None
-        keys.append(col)
-    # lexsort's primary key is its last.
-    return np.lexsort(keys[::-1])
-
-
-def _merge_order(streams: list, takes: list, attrs: tuple) -> np.ndarray:
-    """Positions into the concatenated selections, in key order.
-
-    Both sorts are stable, so equal keys keep stream order (the
-    earlier shard first), exactly as ``heapq.merge`` does.
-    """
-    order = _lexsort_order([s[0] for s in streams], takes, attrs)
-    if order is not None:
-        return order
-    # Timsort finds each stream as a sorted run and merges the runs.
-    tuples = list(chain.from_iterable(s[1] for s in streams))
-    return np.asarray(sorted(range(len(tuples)), key=tuples.__getitem__),
-                      dtype=np.intp)
-
-
 class Query:
     """Builder: ``Query(cluster, schema, index).where(...).prefix(...)``."""
 
@@ -273,9 +233,9 @@ class Query:
         return self
 
     def _scan_shard(self, daemon, stats: QueryStats) -> tuple:
-        """``(shard, keys, oids)`` of one daemon's matching objects."""
+        """``(shard, oids)`` of one daemon's matching objects."""
         shard = daemon._shard(self.schema_name)
-        keys, oids, scanned = daemon.query_shard(
+        oids, scanned = daemon.query_shard(
             self.schema_name,
             self.index_name,
             begin=self._begin,
@@ -285,11 +245,14 @@ class Query:
         )
         stats.shards_queried += 1
         stats.rows_scanned_per_shard.append(scanned)
-        return shard, keys, oids
+        return shard, oids
 
     def execute(self) -> QueryResult:
         """Fan out (per daemon, or per shard when replicated), merge
-        shard streams in key order on the keys the indices hold."""
+        shard streams in key order (:func:`~repro.dsos.index.key_order`
+        over their key columns; it is stable, so equal keys keep stream
+        order, the earlier shard first, exactly as ``heapq.merge``
+        does)."""
         stats = QueryStats(filters_applied=len(self._filters))
         shard_results = []
         if not getattr(self.cluster, "sharded", False):
@@ -317,16 +280,17 @@ class Query:
                         f"({', '.join(r.name for r in replicas)} all down)"
                     )
                 shard_results.append(self._scan_shard(primary, stats))
-        streams = [s for s in shard_results if len(s[2])]
-        if len(streams) < 2:
+        parts = [s for s in shard_results if len(s[1])]
+        if len(parts) < 2:
             # A lone stream is already in key order: nothing to merge.
-            parts = [(shard, oids[: self._limit]) for shard, _, oids in streams]
+            parts = [(shard, oids[: self._limit]) for shard, oids in parts]
             result = QueryResult(stats, parts)
         else:
-            parts = [(shard, oids) for shard, _, oids in streams]
-            takes = [oids for _, oids in parts]
             attrs = parts[0][0].indices[self.index_name].key_attrs
-            order = _merge_order(streams, takes, attrs)[: self._limit]
+            order = key_order([
+                np.concatenate([shard.column(a)[oids] for shard, oids in parts])
+                for a in attrs
+            ])[: self._limit]
             result = QueryResult(stats, parts, order)
         stats.rows_returned = len(result)
         return result

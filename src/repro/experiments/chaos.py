@@ -28,13 +28,6 @@ __all__ = [
 #: is the per-message reference path; ``fast`` arms the express spine
 #: wherever its guard allows.  The connector follows the lane of the
 #: daemons it publishes into, so the world's switch is the only one.
-#: Connector counters and simulated runtime match on both lanes, but
-#: stored rows may not: a message-triggered ``DaemonCrash`` fires inside
-#: the bus delivery of the message that trips it, right after the
-#: daemon's ``_Forwarder`` enqueued that message.  An idle reference
-#: forwarder's blocked process takes it from the outbox at once; the
-#: fast lane's drains on a zero-delay kick behind that instant, so the
-#: crash purges it (one ``drop_daemon_failed`` at ``forward``).
 LANES = {"slow": False, "fast": True}
 
 #: Lanes the ``forensics``/``explain`` checks exercise: both, so the

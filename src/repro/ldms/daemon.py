@@ -114,22 +114,21 @@ class _Forwarder:
     ``receive`` per message, so the receiving store lands each message
     before the next is delivered.
 
+    In both, an idle forwarder is woken by :meth:`enqueue` through a
+    same-timestep event (behind the rest of the current timestep), and
+    takes its batch from the outbox only when that event is processed,
+    so both lanes hold the same messages in the outbox at every instant.
+
     * ``batch_deliver=False`` — the reference path: a persistent
-      process blocks on the outbox and walks each batch through
+      process waits on the wake event and walks each batch through
       :meth:`Network.transfer`.
     * ``batch_deliver=True`` — the fast lane: no persistent process.
-      :meth:`enqueue` schedules a same-timestep drain callback when the
-      forwarder is idle (behind the rest of the current timestep, so
-      burst/overflow behaviour matches the blocked-process wakeup), and
-      each uncontended single-link transfer is one fused engine event
-      whose completion callback delivers the batch and drains again.
+      The wake event's callback drains the outbox, and each uncontended
+      single-link transfer is one fused engine event whose completion
+      callback delivers the batch and drains again.
       Completion instants are float-identical to the reference path;
       only the event *count* differs, so simulated results can diverge
-      on exact float-time ties, and on a crash fired inside the bus
-      delivery that enqueued a message: the fast lane's outbox still
-      holds it for the kick, so the crash purges it, while the
-      reference process already took it (see
-      :data:`repro.experiments.chaos.LANES`).
+      on exact float-time ties.
     """
 
     def __init__(
@@ -169,10 +168,12 @@ class _Forwarder:
         #: Telemetry gauge for this outbox's depth, named once here
         #: rather than formatted per enqueue.
         self.depth_gauge = f"outbox_depth/{owner.node.name}/{tag}"
+        #: Whether a wake is pending or the outbox is being drained.
+        self._draining = False
         if batch_deliver:
             self.process = None
-            self._draining = False
         else:
+            self._wake = Event(env)
             self.process = env.process(self._run())
 
     def set_flaky(self, error_rate: float, mode: str, rng) -> None:
@@ -195,11 +196,14 @@ class _Forwarder:
                     # The forward hop spans outbox wait + batched transfer.
                     collector.open_hop(message.trace_id, _trace.STAGE_FORWARD, node)
                 collector.gauge(self.depth_gauge, depth)
-            if self.batch_deliver and not self._draining:
+            if not self._draining:
                 self._draining = True
-                kick = Event(self.env)
-                kick.callbacks.append(self._kick)
-                kick.succeed()
+                if self.batch_deliver:
+                    kick = Event(self.env)
+                    kick.callbacks.append(self._kick)
+                    kick.succeed()
+                else:
+                    self._wake.succeed()
         else:
             self.stats.dropped_overflow += 1
             if message.trace_id:
@@ -212,9 +216,9 @@ class _Forwarder:
                         _trace.DROP_OVERFLOW,
                     )
 
-    # -- fast lane: event-callback drive --------------------------------------
-
     def _take_batch(self) -> list:
+        """Up to ``batch_size`` messages from the head of the outbox
+        (both drive modes)."""
         batch = []
         outbox = self.outbox
         while len(batch) < self.batch_size:
@@ -223,6 +227,8 @@ class _Forwarder:
                 break
             batch.append(message)
         return batch
+
+    # -- fast lane: event-callback drive --------------------------------------
 
     def _kick(self, _event: Event | None = None) -> None:
         """Run transfer cycles until the outbox is empty (fast lane)."""
@@ -443,16 +449,15 @@ class _Forwarder:
     def _run(self):
         network = self.owner.network
         while True:
-            try:
-                first = yield self.outbox.get()
-            except Interrupt:
-                return
-            batch = [first]
-            while len(batch) < self.batch_size:
-                extra = self.outbox.try_get()
-                if extra is None:
-                    break
-                batch.append(extra)
+            batch = self._take_batch()
+            if not batch:
+                self._draining = False
+                self._wake = Event(self.env)
+                try:
+                    yield self._wake
+                except Interrupt:
+                    return
+                continue
             total_bytes = sum(m.size_bytes for m in batch)
             dst = self._active_peer.node.name
             if network is not None and self.owner.node.name != dst:

@@ -10,8 +10,8 @@ from repro.dsos import (
     DsosCluster,
     Schema,
     SchemaError,
-    SortedIndex,
 )
+from repro.dsos.daemon import _Shard
 
 
 @pytest.fixture
@@ -109,18 +109,26 @@ def test_darshan_schema_has_paper_indices():
 # ------------------------------------------------------------------- Index
 
 
+def _indexed(*attrs):
+    """A shard of int attributes ``attrs`` and its index ``t`` over all
+    of them."""
+    shard = _Shard(Schema("s", [Attr(a, "int") for a in attrs], {"t": attrs}))
+    return shard, shard.indices["t"]
+
+
 def test_sorted_index_orders_lazily():
-    idx = SortedIndex("t", ("a",))
-    for i, v in enumerate([5, 1, 3, 2, 4]):
-        idx.add((v,), i)
-    assert [k for k, _ in idx.iter_sorted()] == [(1,), (2,), (3,), (4,), (5,)]
-    assert len(idx) == 5
+    shard, idx = _indexed("a")
+    for v in [5, 1, 3, 2, 4]:
+        shard.add((v,))
+    # Storing a row does no index work; the first read orders them.
+    assert len(idx) == 5 and len(idx._oids) == 0
+    assert shard.values("a", idx.range()) == [1, 2, 3, 4, 5]
+    assert len(idx._oids) == 5
 
 
 def test_sorted_index_range_half_open():
-    idx = SortedIndex("t", ("a",))
-    for i in range(10):
-        idx.add((i,), i)
+    shard, idx = _indexed("a")
+    shard.add_many([(i,) for i in range(10)])
     assert idx.range((3,), (7,)).tolist() == [3, 4, 5, 6]
     # The ids are a view of the index's own intp array.
     assert idx.range((3,), (7,)).dtype == np.intp
@@ -129,12 +137,10 @@ def test_sorted_index_range_half_open():
 
 
 def test_sorted_index_prefix_range():
-    idx = SortedIndex("t", ("job", "rank"))
-    oid = 0
+    shard, idx = _indexed("job", "rank")
     for job in (1, 2):
         for rank in range(3):
-            idx.add((job, rank), oid)
-            oid += 1
+            shard.add((job, rank))
     assert idx.prefix_range((1,)).tolist() == [0, 1, 2]
     assert idx.prefix_range((2,)).tolist() == [3, 4, 5]
     assert idx.prefix_range((2, 1)).tolist() == [4]
@@ -143,26 +149,11 @@ def test_sorted_index_prefix_range():
 
 
 def test_sorted_index_add_after_query():
-    idx = SortedIndex("t", ("a",))
-    idx.add((2,), 0)
+    shard, idx = _indexed("a")
+    shard.add((2,))
     assert idx.range(None, None).tolist() == [0]
-    idx.add((1,), 1)  # add after materialization
+    shard.add((1,))  # add after materialization
     assert idx.range(None, None).tolist() == [1, 0]
-
-
-def test_sorted_index_key_arity_checked():
-    idx = SortedIndex("t", ("a", "b"))
-    with pytest.raises(ValueError):
-        idx.add((1,), 0)
-
-
-def test_sorted_index_min_max():
-    idx = SortedIndex("t", ("a",))
-    assert idx.min_key() is None
-    idx.add((3,), 0)
-    idx.add((1,), 1)
-    assert idx.min_key() == (1,)
-    assert idx.max_key() == (3,)
 
 
 # ----------------------------------------------------------------- Cluster

@@ -62,7 +62,7 @@ def _assert_columns_in_step(shard, want=None):
         assert len(col) == n and col.dtype == attr.dtype, name
     for index in shard.indices.values():
         assert len(index) == n
-        assert sorted(oid for _, oid in index.iter_sorted()) == list(range(n))
+        assert sorted(index.range().tolist()) == list(range(n))
     rows = _stored(shard)
     assert all(list(r) == list(_SCHEMA.attrs) for r in rows)
     if want is not None:
@@ -344,9 +344,10 @@ def test_an_int_under_a_float_attribute_is_stored_and_logged_as_a_float():
         c.recover_daemon(d)
         (row,) = d._shard("events").rows([0])
         assert type(row["timestamp"]) is float and row["timestamp"] == 7.0
-        # Replayed from the WAL record, which logged the float.
-        ((key, _),) = d._shard("events").indices["job_rank_time"].iter_sorted()
-        assert type(key[2]) is float
+        # Replayed from the WAL record, which logged the float: the
+        # index finds it by its exact float key.
+        index = d._shard("events").indices["job_rank_time"]
+        assert index.prefix_range((1, 0, 7.0)).tolist() == [0]
 
 
 # ------------------------------------------------- crash, recover, repair

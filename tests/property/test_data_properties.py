@@ -1,15 +1,32 @@
 """Property-based tests: DSOS indices, DataFrame algebra, striping."""
 
+from operator import itemgetter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dsos import SortedIndex
+from repro.dsos import Attr, Schema
+from repro.dsos.daemon import _Shard
 from repro.fs import LoadProcess, LustreFileSystem, LustreParams
 from repro.sim import Environment, RngRegistry
 from repro.webservices import DataFrame
 
 
 # ----------------------------------------------------------------- index
+
+
+def _indexed(*types):
+    """A shard of attributes ``a``, ``b``, ... of ``types`` and its
+    index ``t`` over all of them, in order."""
+    names = tuple("ab"[: len(types)])
+    shard = _Shard(Schema("s", [Attr(n, t) for n, t in zip(names, types)],
+                          {"t": names}))
+    return shard, shard.indices["t"]
+
+
+def _keys(shard, oids) -> list:
+    """The keys of the rows at ``oids``, read from the shard's columns."""
+    return list(zip(*[shard.values(a, oids) for a in shard.schema.attrs]))
 
 
 @given(
@@ -20,11 +37,10 @@ from repro.webservices import DataFrame
     )
 )
 def test_sorted_index_iterates_in_key_order(keys):
-    idx = SortedIndex("t", ("a", "b"))
-    for oid, key in enumerate(keys):
-        idx.add(key, oid)
-    got = [k for k, _ in idx.iter_sorted()]
-    assert got == sorted(keys)
+    shard, idx = _indexed("int", "int")
+    for key in keys:
+        shard.add(key)
+    assert _keys(shard, idx.range()) == sorted(keys)
     assert len(idx) == len(keys)
 
 
@@ -34,10 +50,9 @@ def test_sorted_index_iterates_in_key_order(keys):
     hi=st.integers(-60, 60),
 )
 def test_sorted_index_range_equals_filter(keys, lo, hi):
-    idx = SortedIndex("t", ("a",))
-    for oid, k in enumerate(keys):
-        idx.add((k,), oid)
-    got = set(idx.range((lo,), (hi,)))
+    shard, idx = _indexed("int")
+    shard.add_many([(k,) for k in keys])
+    got = set(idx.range((lo,), (hi,)).tolist())
     expected = {oid for oid, k in enumerate(keys) if lo <= k < hi}
     assert got == expected
 
@@ -49,10 +64,10 @@ def test_sorted_index_range_equals_filter(keys, lo, hi):
     prefix=st.integers(0, 5),
 )
 def test_sorted_index_prefix_equals_filter(keys, prefix):
-    idx = SortedIndex("t", ("a", "b"))
-    for oid, key in enumerate(keys):
-        idx.add(key, oid)
-    got = set(idx.prefix_range((prefix,)))
+    shard, idx = _indexed("int", "int")
+    for key in keys:
+        shard.add(key)
+    got = set(idx.prefix_range((prefix,)).tolist())
     expected = {oid for oid, key in enumerate(keys) if key[0] == prefix}
     assert got == expected
 
@@ -63,20 +78,31 @@ def test_sorted_index_prefix_equals_filter(keys, prefix):
 )
 def test_sorted_index_interleaved_adds_and_queries(before, after):
     """Materialization is repeatable: add -> query -> add -> query."""
-    idx = SortedIndex("t", ("a",))
-    for oid, k in enumerate(before):
-        idx.add((k,), oid)
+    shard, idx = _indexed("int")
+    for k in before:
+        shard.add((k,))
     idx.range(None, None)  # force materialization
-    for oid, k in enumerate(after, start=len(before)):
-        idx.add((k,), oid)
-    got = [k for k, _ in idx.iter_sorted()]
-    assert got == sorted([(k,) for k in before + after])
+    for k in after:
+        shard.add((k,))
+    assert _keys(shard, idx.range()) == sorted([(k,) for k in before + after])
 
 
-#: Two-part keys from a small domain, so runs share keys; ``1`` and
-#: ``1.0`` are equal keys of different types.
-_index_key = st.tuples(st.sampled_from([0, 1, 1.0, 2, 3]),
-                       st.sampled_from([0, 0.5, 1, 1.0]))
+#: Two-part keys from a small domain, so runs share keys; ``0.0`` and
+#: ``-0.0`` are equal keys of different reprs, and ``"nan"`` stands for
+#: a NaN (a fresh float each time).
+_index_key = st.tuples(st.integers(0, 3),
+                       st.sampled_from([0.0, -0.0, 0.5, 1.0, "nan"]))
+
+
+def _fold(model: list, pending: list) -> list:
+    """The order an index keeps after a read: the pending run sorted
+    stably, then appended when it starts at or after the last indexed
+    key, else stably sorted together with the indexed run.  Without a
+    NaN this is ``sorted(model + pending)`` on the key."""
+    pending = sorted(pending, key=itemgetter(0))
+    if model and pending and pending[0][0] < model[-1][0]:
+        return sorted(model + pending, key=itemgetter(0))
+    return model + pending
 
 
 @given(
@@ -87,27 +113,24 @@ _index_key = st.tuples(st.sampled_from([0, 1, 1.0, 2, 3]),
     )
 )
 def test_sorted_index_materialize_is_a_stable_sort_of_both_runs(batches):
-    """Each scan folds the pending run in; the backbone then equals
-    ``sorted(backbone + pending, key=itemgetter(0))``, duplicate keys
-    kept in backbone-then-arrival order.  A batch shifted up by
-    ``lift`` mostly starts after the backbone (the append branch)."""
-    from operator import itemgetter
-
-    idx = SortedIndex("t", ("a", "b"))
+    """Each scan folds the pending run in; the index order then equals
+    the stable sort of both runs (:func:`_fold`), duplicate keys kept
+    in indexed-then-arrival order, and NaN runs in the order the tuple
+    sorts give them.  A batch shifted up by ``lift`` mostly starts
+    after the indexed run (the append branch)."""
+    shard, idx = _indexed("int", "float")
     model: list = []
-    oid = 0
     for keys, lift, bulk in batches:
-        pending = []
-        for a, b in keys:
-            pending.append(((a + lift * len(model), b), oid))
-            oid += 1
+        rows = [(a + lift * len(model), float(b)) for a, b in keys]
+        pending = [(row, len(shard) + i) for i, row in enumerate(rows)]
         if bulk:
-            idx.extend_unchecked(pending)
+            shard.add_many(rows)
         else:
-            for key, o in pending:
-                idx.add(key, o)
-        model = sorted(model + pending, key=itemgetter(0))
-        got = list(idx.iter_sorted())
+            for row in rows:
+                shard.add(row)
+        model = _fold(model, pending)
+        oids = idx.range()
+        got = list(zip(_keys(shard, oids), oids.tolist()))
         assert [(repr(k), o) for k, o in got] == \
             [(repr(k), o) for k, o in model]
         assert len(idx) == len(model)

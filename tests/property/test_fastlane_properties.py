@@ -316,6 +316,31 @@ def test_telemetry_campaign_spine_is_exact():
         assert len(out["hops"]) == out["stats"][0]["messages_published"]
 
 
+def test_lanes_agree_at_every_forward_queue_depth():
+    """Regression: the reference forwarder's process once took the
+    first message of a burst straight from ``try_put`` while the fast
+    lane's waited in the outbox for its zero-delay kick, so the
+    reference lane had one more outbox slot: with tiny outboxes it
+    stored more rows (38 vs 31 at depth 1) and its ``max_queue_depth``
+    read one lower.  Both now take a batch only when the wake event
+    ``enqueue`` fires is processed."""
+    def app():
+        return MpiIoTest(n_nodes=2, ranks_per_node=4, iterations=3,
+                         block_size=2**20, collective=True)
+
+    for depth in (1, 2, 4):
+        outcomes = [
+            _world_outcome(WorldConfig(
+                seed=5, quiet=True, n_compute_nodes=2, telemetry=True,
+                forward_queue_depth=depth, fast_lane=fast,
+            ), [(app, "nfs", 120.0)])[0]
+            for fast in (False, True)
+        ]
+        slow, fast = outcomes
+        for key in slow:
+            assert fast[key] == slow[key], (depth, key)
+
+
 # --------------------------------------------------------------- chaos
 
 

@@ -1,9 +1,10 @@
 """Differential pin: both multi-stream merge paths give the oracle's rows.
 
-A read over several shard streams is ordered by one stable
+A read over several shard streams is ordered by the one rule that
+orders index keys (``repro.dsos.index.key_order``): a stable
 ``np.lexsort`` over the shards' typed key columns, each of its
-attribute's dtype on every stream; a string key attribute, or a NaN
-among the selected floats, takes the stable sort of the key tuples.
+attribute's dtype on every stream, string (object) columns included; a
+NaN among the selected floats takes the stable sort of the key tuples.
 Whichever path runs, the rows must be the oracle's: every object's key
 rebuilt with :meth:`Schema.key_for`, each daemon's objects stably
 sorted on it, cut to the prefix or range, filtered row by row, the streams merged with
@@ -22,10 +23,12 @@ through the schema check, so ints (beyond int64 too) under the float
 ``ts`` land as floats.
 """
 
+import bisect
 import heapq
 import math
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -63,8 +66,8 @@ _INT64 = [-(2**63), 2**63 - 1]
 _FLOATS = [-math.inf, -1.5, -0.0, 0.0, 0.5, 2.0, math.inf]
 
 #: Per key flavour: the type of ``ts``, and the values drawn for it.
-#: ``text`` and ``nan`` make a key the tuple sort must order; the
-#: others take ``np.lexsort``.  ``converted`` draws ints (ints beyond
+#: ``nan`` makes a key the tuple sort must order; the others take
+#: ``np.lexsort``.  ``converted`` draws ints (ints beyond
 #: int64, and 2**53 + 1, which is above 2.0**53 in Python and equal to
 #: it as a float, included) and floats, inserted with validation.
 _FLAVOURS = {
@@ -186,17 +189,19 @@ def _oracle(cluster, spec) -> list:
 
 
 def _nan_oracle(cluster, spec) -> list:
-    """NaN keys are not totally ordered: the stable sort of the
-    daemons' own index streams, concatenated in stream order.  A lone
-    non-empty stream is taken as it is (sorting a list holding NaN keys
-    again can reorder it)."""
+    """NaN keys are not totally ordered: the stable sort, on their
+    ``key_for`` keys, of the daemons' own index streams concatenated in
+    stream order.  A lone non-empty stream is taken as it is (sorting a
+    list holding NaN keys again can reorder it)."""
     entries, streams = [], 0
     for daemon in _daemons(cluster):
-        keys, oids, _ = daemon.query_shard(
+        oids, _ = daemon.query_shard(
             "ev", spec["index"], begin=spec["begin"],
             end=spec["end"], prefix=spec["prefix"], filters=spec["where"],
         )
-        entries += zip(keys, daemon._shard("ev").rows(oids))
+        shard = daemon._shard("ev")
+        entries += [(shard.schema.key_for(spec["index"], obj), obj)
+                    for obj in shard.rows(oids)]
         streams += bool(len(oids))
     if streams > 1:
         entries.sort(key=lambda kv: kv[0])
@@ -208,27 +213,38 @@ def _nan_oracle(cluster, spec) -> list:
 
 @contextmanager
 def _path_spy():
-    """Record the path each multi-stream merge takes."""
+    """Record the path each multi-stream merge's ``key_order`` call
+    takes: ``lexsort`` if it called ``np.lexsort``, else ``tuple``."""
     paths = []
-    lexsort_order = dsos_query._lexsort_order
+    key_order = dsos_query.key_order
+    lexsort = np.lexsort
 
-    def spy(shards, takes, attrs):
-        order = lexsort_order(shards, takes, attrs)
-        paths.append("tuple" if order is None else "lexsort")
+    def spy(cols):
+        calls = []
+
+        def counted(keys):
+            calls.append(keys)
+            return lexsort(keys)
+
+        np.lexsort = counted
+        try:
+            order = key_order(cols)
+        finally:
+            np.lexsort = lexsort
+        paths.append("lexsort" if calls else "tuple")
         return order
 
-    dsos_query._lexsort_order = spy
+    dsos_query.key_order = spy
     try:
         yield paths
     finally:
-        dsos_query._lexsort_order = lexsort_order
+        dsos_query.key_order = key_order
 
 
-def _expected_path(schema, result, attrs) -> str:
-    """The documented rule, restated on the stored objects: no string
-    key attribute, and no NaN in the selections."""
-    if any(schema.attrs[a].type == "string" for a in attrs):
-        return "tuple"
+def _expected_path(result, attrs) -> str:
+    """The documented rule, restated on the stored objects: the tuple
+    sort when the selections hold a NaN key part, else ``np.lexsort``
+    (string key attributes included)."""
     # The selections, not the rows: the limit cuts after the merge.
     selected = [o[a] for shard, oids in result.parts
                 for o in shard.rows(oids) for a in attrs]
@@ -313,12 +329,12 @@ def _check(world, spec) -> str | None:
         assert paths == []
         return None
     attrs = _INDICES[spec["index"]]
-    assert paths == [_expected_path(world.schema, result, attrs)]
+    assert paths == [_expected_path(result, attrs)]
     return paths[0]
 
 
-#: The two ``np.lexsort`` flavours are drawn as often as all the
-#: tuple-sort flavours together.
+#: The ``float`` and ``int`` flavours are drawn as often as all the
+#: flavours together.
 _FLAVOUR = st.sampled_from(["float", "int"]) | st.sampled_from(sorted(_FLAVOURS))
 
 _WHOLE = {"prefix": None, "begin": None, "end": None, "where": [],
@@ -375,7 +391,7 @@ def _fixed_world(flavour, ts_values, *, n_daemons=3):
     # The bools are refused; the ints land as floats.
     ("bool", [1, True, 0, False, 2, 1], "lexsort"),
     ("bigint", [2**64 + 7, 0, 1, 2, -3, 0], "lexsort"),
-    ("text", ["b", "a", "", "a", "b", ""], "tuple"),
+    ("text", ["b", "a", "", "a", "b", ""], "lexsort"),
     # Daemon 0 gets ints, daemons 1 and 2 floats; all land as floats,
     # so 2**53 + 1 ties 2.0**53.
     ("mix", [2**53 + 1, 2.0**53, 0.5, 1, 1.0, 2.0**53], "lexsort"),
@@ -384,3 +400,44 @@ def _fixed_world(flavour, ts_values, *, n_daemons=3):
 def test_each_key_flavour_takes_its_path(flavour, ts_values, path, index):
     world = _fixed_world(flavour, ts_values)
     assert _check(world, {"index": index, **_WHOLE}) == path
+
+
+# ------------------------------------------ scan bounds numpy would miss
+
+
+def _bisect_scan(keys, prefix) -> list:
+    """Positions of the keys starting with ``prefix``, found as Python's
+    ``bisect`` finds them over the key tuples in index order."""
+    n = len(prefix)
+    return list(range(bisect.bisect_left(keys, prefix),
+                      bisect.bisect_right(keys, prefix, key=lambda k: k[:n])))
+
+
+@pytest.mark.parametrize("flavour, ts_values, prefix", [
+    # The int 2**53 + 1 lands as the float 2.0**53, and numpy would
+    # round the bound to the same float: Python's comparison excludes
+    # the row, ``np.searchsorted`` would return it.
+    ("converted", [2**53 + 1, 1.0, 2.0**53 + 2], (0, 2**53 + 1)),
+    # A NaN among the keys: the bounds are wherever ``bisect`` over the
+    # key tuples finds them, where ``np.searchsorted`` puts NaN last.
+    ("nan", [0.5, math.nan, 0.25, 0.5, math.nan, 0.75], (0, 0.5)),
+], ids=["inexact-bound", "nan-run"])
+def test_scan_bounds_take_python_comparison_where_numpy_differs(
+        flavour, ts_values, prefix):
+    world = _World("flat", 1, flavour)
+    world.insert([{"job_id": 0, "rank": 0, "ts": ts, "tag": "a", "seq": i}
+                  for i, ts in enumerate(ts_values)], batched=True)
+    (daemon,) = world.cluster.daemons
+    shard = daemon._shard("ev")
+    index = shard.indices["rank_ts"]
+    order = index.range()
+    keys = [shard.schema.key_for("rank_ts", obj) for obj in shard.rows(order)]
+    want = order[_bisect_scan(keys, prefix)].tolist()
+    assert index.prefix_range(prefix).tolist() == want
+    # What one ``np.searchsorted`` per key part would have returned.
+    lo, hi = 0, len(order)
+    for col, v in zip(index._cols, prefix):
+        lo, hi = (lo + col[lo:hi].searchsorted(v, "left"),
+                  lo + col[lo:hi].searchsorted(v, "right"))
+    assert order[lo:hi].tolist() != want
+    _check(world, {**_WHOLE, "index": "rank_ts", "prefix": prefix})
